@@ -1,6 +1,7 @@
 // Micro-benchmarks of pimlib's own primitives (google-benchmark):
-// bitvector algebra, cache simulation, DRAM controller throughput,
-// Ambit command compilation, and graph generation. These guard the
+// bitvector algebra and range copies, cache simulation, DRAM controller
+// throughput, Ambit command compilation and row I/O, and graph
+// generation. These guard the
 // simulator's performance, not the paper's results.
 #include <benchmark/benchmark.h>
 
@@ -50,6 +51,44 @@ void bm_bitvector_popcount(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_bitvector_popcount);
+
+// copy_bits over a whole vector: Arg(1) puts both ranges on a word
+// boundary (plain word copy), Arg(0) offsets them by 3 and 17 bits
+// (shift-and-merge path). Byte sizes run 4 KiB to 4 MiB.
+void bm_copy_bits(benchmark::State& state) {
+  rng gen(7);
+  const auto bits = static_cast<std::size_t>(state.range(0)) * 8;
+  const bool aligned = state.range(1) != 0;
+  const std::size_t src_pos = aligned ? 0 : 3;
+  const std::size_t dst_pos = aligned ? 0 : 17;
+  const bitvector src = bitvector::random(bits + src_pos, gen);
+  bitvector dst(bits + dst_pos);
+  for (auto _ : state) {
+    dst.copy_bits(dst_pos, src, src_pos, bits);
+    benchmark::DoNotOptimize(dst);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bits / 8));
+}
+BENCHMARK(bm_copy_bits)->ArgsProduct({{4 << 10, 64 << 10, 4 << 20}, {1, 0}});
+
+// ambit_engine::read_vector of one 4-row vector from the functional row
+// store — the per-request row I/O of a service read.
+void bm_read_vector(benchmark::State& state) {
+  dram::organization org;
+  dram::memory_system mem(org, dram::ddr3_1600());
+  dram::ambit_engine engine(mem, true);
+  dram::ambit_allocator alloc(org);
+  const dram::bulk_vector v = alloc.allocate_group(4 * org.row_bits(), 1)[0];
+  rng gen(8);
+  engine.write_vector(v, bitvector::random(v.size, gen));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.read_vector(v));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(v.size / 8));
+}
+BENCHMARK(bm_read_vector);
 
 void bm_cache_stream(benchmark::State& state) {
   cpu::cache c(cpu::cache_config{"L2", 1 * mib, 16, 64});

@@ -1,5 +1,6 @@
 #include "common/bitvector.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -98,6 +99,63 @@ void bitvector::resize(std::size_t size, bool value) {
 void bitvector::set_word(std::size_t w, word value) {
   words_[w] = value;
   if (w + 1 == words_.size()) clear_padding();
+}
+
+void bitvector::copy_bits(std::size_t dst_pos, const bitvector& src,
+                          std::size_t src_pos, std::size_t n) {
+  if (src_pos > src.size_ || n > src.size_ - src_pos || dst_pos > size_ ||
+      n > size_ - dst_pos) {
+    throw std::out_of_range("bitvector::copy_bits: " + std::to_string(n) +
+                            " bits do not fit at " + std::to_string(src_pos) +
+                            "/" + std::to_string(dst_pos));
+  }
+  if (n == 0) return;
+  const word* in = src.words_.data();
+  // The k <= word_bits source bits starting at `pos`, in the low bits
+  // (bits above k are garbage; merge masks them off).
+  auto fetch = [in](std::size_t pos, std::size_t k) {
+    const std::size_t shift = pos % word_bits;
+    word bits = in[pos / word_bits] >> shift;
+    if (shift + k > word_bits) {
+      bits |= in[pos / word_bits + 1] << (word_bits - shift);
+    }
+    return bits;
+  };
+  // Merges the low k bits of `bits` into word w at bit offset `shift`.
+  auto merge = [this](std::size_t w, std::size_t shift, std::size_t k,
+                      word bits) {
+    const word low = k == word_bits ? ~word{0} : (word{1} << k) - 1;
+    const word mask = low << shift;
+    words_[w] = (words_[w] & ~mask) | ((bits << shift) & mask);
+  };
+
+  // Head: bring the destination up to a word boundary.
+  std::size_t dw = dst_pos / word_bits;
+  if (const std::size_t off = dst_pos % word_bits; off != 0) {
+    const std::size_t k = std::min(n, word_bits - off);
+    merge(dw++, off, k, fetch(src_pos, k));
+    src_pos += k;
+    n -= k;
+  }
+  // Body: whole destination words. Every source word the unaligned
+  // case reads holds bits of [src_pos, src_pos + n), so from[i + 1]
+  // exists.
+  const std::size_t full = n / word_bits;
+  const word* from = in + src_pos / word_bits;
+  word* to = words_.data() + dw;
+  if (const std::size_t shift = src_pos % word_bits; shift == 0) {
+    std::copy(from, from + full, to);
+  } else {
+    for (std::size_t i = 0; i < full; ++i) {
+      to[i] = (from[i] >> shift) | (from[i + 1] << (word_bits - shift));
+    }
+  }
+  dw += full;
+  src_pos += full * word_bits;
+  n -= full * word_bits;
+  // Tail: the masked merge leaves the bits above it (and the padding)
+  // as they were.
+  if (n != 0) merge(dw, 0, n, fetch(src_pos, n));
 }
 
 bitvector& bitvector::operator&=(const bitvector& other) {

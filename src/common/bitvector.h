@@ -52,6 +52,14 @@ class bitvector {
   word get_word(std::size_t w) const { return words_[w]; }
   void set_word(std::size_t w, word value);
 
+  /// Copies `src` bits [src_pos, src_pos + n) onto this vector's bits
+  /// [dst_pos, dst_pos + n), a whole word at a time at any pair of
+  /// offsets; bits outside the destination range are untouched. `src`
+  /// must be another vector. Throws std::out_of_range if either range
+  /// does not fit its vector.
+  void copy_bits(std::size_t dst_pos, const bitvector& src,
+                 std::size_t src_pos, std::size_t n);
+
   // In-place Boolean algebra. Operand sizes must match.
   bitvector& operator&=(const bitvector& other);
   bitvector& operator|=(const bitvector& other);

@@ -279,12 +279,10 @@ bitvector ambit_engine::read_vector(const bulk_vector& v) const {
   bitvector out(v.size);
   const bits row_bits = mem_.org().row_bits();
   for (std::size_t r = 0; r < v.rows.size(); ++r) {
-    const bitvector& row = mem_.row_or_zero(v.rows[r]);
-    for (std::size_t i = 0; i < row_bits; ++i) {
-      const std::size_t bit = r * row_bits + i;
-      if (bit >= out.size()) break;
-      out.set(bit, row.get(i));
-    }
+    const std::size_t base = r * row_bits;
+    if (base >= out.size()) break;
+    out.copy_bits(base, mem_.row_or_zero(v.rows[r]), 0,
+                  std::min<std::size_t>(row_bits, out.size() - base));
   }
   return out;
 }

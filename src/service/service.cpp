@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "obs/trace.h"
@@ -360,18 +359,28 @@ std::optional<request_future> pim_service::try_submit(request r) {
 std::shared_ptr<void> pim_service::pin_sessions_locked(
     const std::vector<session_id>& ids) {
   struct pin_guard {
-    std::vector<std::shared_ptr<std::atomic<int>>> refs;
+    std::shared_ptr<pin_table> table;
+    std::vector<session_id> ids;
     ~pin_guard() {
-      for (auto& r : refs) r->fetch_sub(1);
+      bool drained = false;
+      {
+        std::lock_guard<std::mutex> lock(table->mu);
+        for (session_id id : ids) {
+          auto it = table->counts.find(id);
+          if (--it->second == 0) {
+            table->counts.erase(it);
+            drained = true;
+          }
+        }
+      }
+      if (drained) table->released.notify_all();
     }
   };
   auto guard = std::make_shared<pin_guard>();
-  for (session_id id : ids) {
-    auto& ref = plan_refs_[id];
-    if (ref == nullptr) ref = std::make_shared<std::atomic<int>>(0);
-    ref->fetch_add(1);
-    guard->refs.push_back(ref);
-  }
+  guard->table = pins_;
+  guard->ids = ids;
+  std::lock_guard<std::mutex> lock(pins_->mu);
+  for (session_id id : ids) ++pins_->counts[id];
   return guard;
 }
 
@@ -602,16 +611,11 @@ void pim_service::migrate_session(session_id session, int shard_index) {
     // Quiesce cross-shard plans that pinned this session before the
     // flag went up (their staged state references current placements);
     // the flag keeps new ones from starting, so the wait is bounded by
-    // worker progress.
-    for (;;) {
-      std::shared_ptr<std::atomic<int>> ref;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = plan_refs_.find(session);
-        if (it != plan_refs_.end()) ref = it->second;
-      }
-      if (ref == nullptr || ref->load() == 0) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    // worker progress. The last guard to drop the count wakes us.
+    {
+      std::unique_lock<std::mutex> lock(pins_->mu);
+      pins_->released.wait(
+          lock, [&] { return pins_->counts.count(session) == 0; });
     }
     // Re-snapshot AFTER the quiesce: a pinned in-flight allocate may
     // have recorded a new vector group since the flag went up, and a

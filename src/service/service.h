@@ -234,11 +234,19 @@ class pim_service {
   std::atomic<session_id> next_session_{0};
   std::atomic<std::uint64_t> next_token_{1};  // write-back reservations
 
-  mutable std::mutex mu_;  // guards sessions_ and plan_refs_
+  /// Per-session count of the in-flight cross-shard plans pinning it.
+  /// Shared with every plan guard, so a guard released by a shard
+  /// during teardown never touches a destroyed service.
+  struct pin_table {
+    std::mutex mu;  // taken after mu_, never before it
+    std::condition_variable released;  // some session's count hit zero
+    std::unordered_map<session_id, int> counts;  // zero entries erased
+  };
+
+  mutable std::mutex mu_;  // guards sessions_
   std::condition_variable migrate_cv_;  // a migration finished
   std::unordered_map<session_id, session_record> sessions_;
-  std::unordered_map<session_id, std::shared_ptr<std::atomic<int>>>
-      plan_refs_;
+  std::shared_ptr<pin_table> pins_ = std::make_shared<pin_table>();
   /// Serializes the reserve->fetch section of cross-shard plans. Two
   /// plans that concurrently fetch each other's reserved destinations
   /// would otherwise deadlock: each fetch parks on the other plan's

@@ -557,7 +557,8 @@ void shard::complete_tracked(session_id session,
 namespace {
 
 /// Applies `data`'s row_index-th row_bits-sized slice to a physical
-/// row — the same packing write_vector/read_vector use.
+/// row — the packing ambit_engine::write_vector uses, and the inverse
+/// of the bitvector::copy_bits gather in read_vector and exec_read.
 void write_row_slice(dram::memory_system& mem, const dram::address& phys,
                      const bitvector& data, std::size_t row_index) {
   const bits row_bits = mem.org().row_bits();
@@ -917,12 +918,11 @@ void shard::exec_read(request& req, const read_args& args) {
     bitvector out(size);
     for (std::size_t r = 0; r < rows->size(); ++r) {
       const bitvector& row = (*rows)[r];
+      const std::size_t base = r * row_bits;
+      if (base >= size) break;
       if (row.empty()) continue;  // never-materialized row reads as zero
-      for (std::size_t i = 0; i < row_bits; ++i) {
-        const std::size_t bit = r * row_bits + i;
-        if (bit >= size) break;
-        out.set(bit, row.get(i));
-      }
+      out.copy_bits(base, row, 0,
+                    std::min<std::size_t>(row_bits, size - base));
     }
     request_result res;
     res.data = std::move(out);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/bitvector.h"
 #include "common/config.h"
@@ -160,6 +161,68 @@ TEST(BitvectorTest, WordAccessMasksPadding) {
   v.set_word(1, ~std::uint64_t{0});
   EXPECT_EQ(v.popcount(), 1u);  // only bit 64 is inside the vector
   EXPECT_TRUE(v.get(64));
+}
+
+// Per-bit reference for bitvector::copy_bits.
+void copy_bits_reference(bitvector& dst, std::size_t dst_pos,
+                         const bitvector& src, std::size_t src_pos,
+                         std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst.set(dst_pos + i, src.get(src_pos + i));
+  }
+}
+
+TEST(BitvectorTest, CopyBitsMatchesPerBitReferenceAtEveryOffsetPair) {
+  rng gen(0xC0B1);
+  for (std::size_t n : {0, 1, 63, 64, 65, 200}) {
+    for (std::size_t d = 0; d < 64; ++d) {
+      for (std::size_t s = 0; s < 64; ++s) {
+        // Destination one word in, both vectors ending mid-word, random
+        // contents on both sides so any bit written outside
+        // [dst_pos, dst_pos + n) shows up in the comparison.
+        const std::size_t dst_pos = 64 + d;
+        const bitvector src = bitvector::random(s + n + 29, gen);
+        bitvector dst = bitvector::random(dst_pos + n + 37, gen);
+        bitvector want = dst;
+        copy_bits_reference(want, dst_pos, src, s, n);
+        dst.copy_bits(dst_pos, src, s, n);
+        ASSERT_EQ(dst, want) << "n=" << n << " dst%64=" << d
+                             << " src%64=" << s;
+      }
+    }
+  }
+}
+
+TEST(BitvectorTest, CopyBitsLeavesDestinationPaddingClear) {
+  const bitvector ones(300, true);
+  for (std::size_t dst_size : {1, 37, 63, 64, 65, 130, 200}) {
+    for (std::size_t src_pos : {0, 1, 63, 64, 99}) {
+      bitvector dst(dst_size);
+      dst.copy_bits(0, ones, src_pos, dst_size);
+      EXPECT_EQ(dst.popcount(), dst_size);
+      const std::size_t tail = dst_size % 64;
+      const std::uint64_t last = dst.get_word(dst.word_count() - 1);
+      EXPECT_EQ(last, tail == 0 ? ~std::uint64_t{0}
+                                : (std::uint64_t{1} << tail) - 1)
+          << "dst_size=" << dst_size << " src_pos=" << src_pos;
+    }
+  }
+}
+
+TEST(BitvectorTest, CopyBitsRejectsOutOfRangeArguments) {
+  const bitvector src(100);
+  bitvector dst(80);
+  EXPECT_THROW(dst.copy_bits(0, src, 50, 51), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(30, src, 0, 51), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(81, src, 0, 0), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(0, src, 101, 0), std::out_of_range);
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(dst.copy_bits(0, src, huge, 2), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(huge, src, 0, 2), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(0, src, 1, huge), std::out_of_range);
+  dst.copy_bits(80, src, 100, 0);  // empty ranges at the ends are fine
+  dst.copy_bits(0, src, 20, 80);   // exactly filling both
+  EXPECT_TRUE(dst.none());
 }
 
 // De Morgan's law as a property over random vectors.

@@ -41,6 +41,33 @@ TEST(PimSystemTest, ExecuteAndReadBack) {
   EXPECT_GT(r.throughput_gbps, 0.0);
 }
 
+TEST(PimSystemTest, ReadRoundTripsRaggedSizesAndNeverWrittenRows) {
+  pim_system sys(small_config());
+  const std::size_t row_bits = sys.org().row_bits();
+  const bits size = 2 * row_bits + 37;  // neither rows nor words align
+  auto vecs = sys.allocate(size, 2);
+  rng gen(5);
+  const bitvector a = bitvector::random(size, gen);
+  sys.write(vecs[0], a);
+  EXPECT_EQ(sys.read(vecs[0]), a);
+
+  // Materialize only rows 0 and 2 of the second vector, with full-row
+  // random contents: row 1 reads as zero through row_or_zero, and the
+  // last row's bits past `size` must not leak into the result.
+  const dram::bulk_vector& v = vecs[1];
+  ASSERT_EQ(v.rows.size(), 3u);
+  bitvector want(size);
+  for (std::size_t r : {0, 2}) {
+    const bitvector row = bitvector::random(row_bits, gen);
+    sys.memory().row(v.rows[r]) = row;
+    for (std::size_t i = 0; i < row_bits && r * row_bits + i < size; ++i) {
+      want.set(r * row_bits + i, row.get(i));
+    }
+  }
+  EXPECT_FALSE(sys.memory().row_materialized(v.rows[1]));
+  EXPECT_EQ(sys.read(v), want);
+}
+
 TEST(PimSystemTest, NotIsFasterThanXor) {
   pim_system sys(small_config());
   auto vecs = sys.allocate(50'000, 3);

@@ -635,6 +635,37 @@ TEST(ServiceMigrationTest, MigrationPreservesDataOrderingAndHandles) {
   EXPECT_EQ(stats.requests_failed, 0u);
 }
 
+TEST(ServiceMigrationTest, MigrationExportsRaggedVectorsBitExact) {
+  pim_service svc(two_shard_range());
+  svc.start();
+  service_client c(svc);
+  ASSERT_EQ(c.shard_index(), 0);
+  // Neither a multiple of row_bits nor of 64: the priced export's
+  // per-row gather ends mid-row and mid-word.
+  const bits size = 2 * small_system().org.row_bits() + 37;
+  auto v = c.allocate(size, 2);  // v[1] is never written
+  rng gen(67);
+  const bitvector a = bitvector::random(size, gen);
+  c.write(v[0], a);
+  const std::uint64_t digest = c.digest();
+
+  svc.migrate_session(c.id(), 1);
+  EXPECT_EQ(c.shard_index(), 1);
+  EXPECT_EQ(c.read(v[0]), a);
+  EXPECT_TRUE(c.read(v[1]).none());
+  EXPECT_EQ(c.digest(), digest);
+  svc.migrate_session(c.id(), 0);
+  EXPECT_EQ(c.read(v[0]), a);
+  EXPECT_EQ(c.digest(), digest);
+
+  svc.stop();
+  const service_stats stats = svc.stats();
+  EXPECT_EQ(stats.migrations, 2u);
+  // Both captures went through the RowClone-priced export.
+  EXPECT_EQ(stats.exported_bytes, 2 * 2 * (size / 8));
+  EXPECT_EQ(stats.requests_failed, 0u);
+}
+
 TEST(ServiceMigrationTest, MigratedSessionMatchesReferenceDigest) {
   synthetic_config sc;
   sc.ops = 10;
