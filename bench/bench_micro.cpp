@@ -1,11 +1,12 @@
 // Micro-benchmarks of pimlib's own primitives (google-benchmark):
 // bitvector algebra and range copies, cache simulation, DRAM controller
-// throughput, Ambit command compilation and row I/O, and graph
-// generation. These guard the
+// throughput, Ambit command compilation and row I/O, the simulated
+// clock behind one runtime op, and graph generation. These guard the
 // simulator's performance, not the paper's results.
 #include <benchmark/benchmark.h>
 
 #include "common/bitvector.h"
+#include "core/pim_system.h"
 #include "cpu/cache.h"
 #include "dram/ambit.h"
 #include "dram/memory_system.h"
@@ -127,6 +128,32 @@ void bm_controller_random_reads(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(bm_controller_random_reads);
+
+// One-row Ambit AND, submitted and waited on through the runtime: the
+// per-op cost of the simulated clock. A one-row AND spans ~160 DRAM
+// cycles but issues only 12 commands; "s_per_cycle" is host time per
+// simulated cycle, which advancing event by event keeps low.
+void bm_bulk_and_advance(benchmark::State& state) {
+  core::pim_system sys;
+  const auto vecs = sys.allocate(sys.org().row_bits(), 3);
+  rng gen(9);
+  sys.write(vecs[0], bitvector::random(vecs[0].size, gen));
+  sys.write(vecs[1], bitvector::random(vecs[1].size, gen));
+  const cycles start = sys.memory().now_cycles();
+  for (auto _ : state) {
+    const runtime::task_future f =
+        sys.submit_bulk(dram::bulk_op::and_op, vecs[0], &vecs[1], vecs[2]);
+    sys.wait(f);
+    benchmark::DoNotOptimize(f.report().complete_ps);
+  }
+  const auto simulated =
+      static_cast<double>(sys.memory().now_cycles() - start);
+  state.counters["sim_cycles"] = simulated;
+  state.counters["s_per_cycle"] = benchmark::Counter(
+      simulated, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_bulk_and_advance);
 
 void bm_ambit_compile(benchmark::State& state) {
   dram::organization org;

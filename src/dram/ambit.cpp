@@ -311,16 +311,26 @@ void ambit_engine::check_group(const bulk_vector& a, const bulk_vector* b,
 
 bitvector ambit_engine::apply(bulk_op op, const bitvector& a,
                               const bitvector& b) {
+  bitvector out = a;
+  apply_in_place(op, out, b);
+  return out;
+}
+
+void ambit_engine::apply_in_place(bulk_op op, bitvector& out,
+                                  const bitvector& b) {
   switch (op) {
-    case bulk_op::not_op: return ~a;
-    case bulk_op::and_op: return a & b;
-    case bulk_op::or_op: return a | b;
-    case bulk_op::nand_op: return ~(a & b);
-    case bulk_op::nor_op: return ~(a | b);
-    case bulk_op::xor_op: return a ^ b;
-    case bulk_op::xnor_op: return ~(a ^ b);
+    case bulk_op::not_op: break;
+    case bulk_op::and_op:
+    case bulk_op::nand_op: out &= b; break;
+    case bulk_op::or_op:
+    case bulk_op::nor_op: out |= b; break;
+    case bulk_op::xor_op:
+    case bulk_op::xnor_op: out ^= b; break;
   }
-  throw std::logic_error("unknown bulk op");
+  if (op == bulk_op::not_op || op == bulk_op::nand_op ||
+      op == bulk_op::nor_op || op == bulk_op::xnor_op) {
+    out.invert();
+  }
 }
 
 void ambit_engine::validate(bulk_op op, const bulk_vector& a,
@@ -361,9 +371,15 @@ void ambit_engine::execute(bulk_op op, const bulk_vector& a,
     }
     seq.on_complete = [this, op, ra, rb, rd, remaining,
                        done](picoseconds) {
-      const bitvector va = mem_.row_or_zero(ra);
-      const bitvector vb = mem_.row_or_zero(rb);
-      mem_.row(rd) = apply(op, va, vb);
+      // Compute in place: materialize the destination first (the row
+      // store is node-based, so the operand references stay valid),
+      // and when it aliases the second operand swap the operands —
+      // every binary op commutes — so the copy below never clobbers an
+      // input it still needs.
+      bitvector& out = mem_.row(rd);
+      const bool swap = rd.row == rb.row;
+      out = mem_.row_or_zero(swap ? rb : ra);
+      apply_in_place(op, out, mem_.row_or_zero(swap ? ra : rb));
       if (--*remaining == 0 && done) done();
     };
     mem_.enqueue_bulk(ra.channel, std::move(seq));

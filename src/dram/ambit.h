@@ -133,6 +133,10 @@ class ambit_engine {
   /// Functional semantics of an op (what a host fallback computes).
   static bitvector apply(bulk_op op, const bitvector& a, const bitvector& b);
 
+  /// The same semantics in place: `out` holds the first operand and
+  /// receives `op(out, b)` (`b` is ignored by NOT).
+  static void apply_in_place(bulk_op op, bitvector& out, const bitvector& b);
+
  private:
   void check_group(const bulk_vector& a, const bulk_vector* b,
                    const bulk_vector& d) const;

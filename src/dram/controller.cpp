@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace pim::dram {
 
@@ -28,6 +29,7 @@ bool controller::enqueue(request req) {
   pr.req = std::move(req);
   pr.enqueue_cycle = cycle_;
   queue_.push_back(std::move(pr));
+  next_event_ = cycle_ + 1;
   counters_.add("ctrl.requests");
   return true;
 }
@@ -42,6 +44,7 @@ void controller::enqueue_bulk(bulk_sequence seq) {
   }
   pb.seq = std::move(seq);
   bulk_queue_.push_back(std::move(pb));
+  next_event_ = cycle_ + 1;
   counters_.add("ctrl.bulk_sequences");
 }
 
@@ -49,8 +52,16 @@ bool controller::bank_locked(int flat) const {
   return locked_banks_.count(flat) != 0;
 }
 
+bool controller::ready(const command& cmd) {
+  const cycles at = checker_.earliest(cmd);
+  if (at <= cycle_) return true;
+  next_event_ = std::min(next_event_, at);
+  return false;
+}
+
 void controller::issue(const command& cmd) {
   checker_.issue(cmd, cycle_);
+  next_event_ = cycle_ + 1;
   switch (cmd.kind) {
     case command_kind::activate:
       counters_.add(cmd.bulk ? "dram.bulk_act" : "dram.act");
@@ -91,7 +102,7 @@ bool controller::try_issue_refresh() {
       pre.kind = command_kind::precharge;
       pre.addr.rank = rk;
       pre.addr.bank = bk;
-      if (checker_.earliest(pre) <= cycle_) {
+      if (ready(pre)) {
         issue(pre);
         counters_.add("ctrl.refresh_pre");
         return true;
@@ -101,7 +112,7 @@ bool controller::try_issue_refresh() {
     command ref;
     ref.kind = command_kind::refresh;
     ref.addr.rank = rk;
-    if (checker_.earliest(ref) <= cycle_) {
+    if (ready(ref)) {
       issue(ref);
       refresh_pending_[static_cast<std::size_t>(rk)] = false;
       return true;
@@ -136,7 +147,7 @@ bool controller::try_issue_bulk() {
         pre.kind = command_kind::precharge;
         pre.addr.rank = rk;
         pre.addr.bank = bk;
-        if (checker_.earliest(pre) <= cycle_) {
+        if (ready(pre)) {
           issue(pre);
           return true;
         }
@@ -145,7 +156,7 @@ bool controller::try_issue_bulk() {
       if (blocked) continue;
     }
     const command& cmd = pb.seq.commands[pb.next];
-    if (checker_.earliest(cmd) > cycle_) continue;
+    if (!ready(cmd)) continue;
     if (!pb.started) {
       pb.started = true;
       locked_banks_.insert(pb.banks.begin(), pb.banks.end());
@@ -203,7 +214,7 @@ bool controller::try_issue_request() {
       const bool is_column = cmd->kind == command_kind::read ||
                              cmd->kind == command_kind::write;
       if (pass == 0 && !is_column) continue;
-      if (checker_.earliest(*cmd) > cycle_) continue;
+      if (!ready(*cmd)) continue;
       // Classify the request by the first command issued on its behalf.
       if (!it->classified) {
         it->classified = true;
@@ -247,6 +258,7 @@ void controller::finish_completions() {
       }
       if (c.callback) c.callback(c.done * timing_.tck_ps);
     } else {
+      next_event_ = std::min(next_event_, completions_[i].done);
       ++i;
     }
   }
@@ -260,13 +272,24 @@ void controller::tick() {
       refresh_pending_[static_cast<std::size_t>(rk)] = true;
     }
   }
-  // One command per cycle on the command bus, in priority order.
+  // One command per cycle on the command bus, in priority order. The
+  // scans below fold every deferred candidate and pending completion
+  // into next_event_, starting from the next refresh.
+  next_event_ = next_refresh_;
   if (!try_issue_refresh()) {
     if (!try_issue_bulk()) {
       try_issue_request();
     }
   }
   finish_completions();
+}
+
+void controller::skip_to(cycles c) {
+  if (c < cycle_ || c >= next_event_) {
+    throw std::logic_error("controller::skip_to: cycle " + std::to_string(c) +
+                           " outside [now, next event)");
+  }
+  cycle_ = c;
 }
 
 bool controller::idle() const {

@@ -39,6 +39,17 @@ class controller {
   /// Advances one DRAM clock cycle, issuing at most one command.
   void tick();
 
+  /// Earliest cycle at which tick() can change any state: issue a
+  /// command, raise a refresh, or finish a completion. Every cycle
+  /// before it is a no-op tick. Folded by tick()'s own scans; an
+  /// issued command or an enqueue pulls it to the next cycle.
+  cycles next_event() const { return next_event_; }
+
+  /// Moves the clock to `c` without ticking, as if every cycle up to
+  /// `c` had been a no-op tick. Requires now_cycles() <= c <
+  /// next_event().
+  void skip_to(cycles c);
+
   /// True when no request or bulk work is pending or in flight.
   bool idle() const;
 
@@ -83,6 +94,10 @@ class controller {
   }
   bool bank_locked(int flat) const;
 
+  /// True when `cmd` may issue this cycle; otherwise folds the cycle
+  /// it becomes legal into next_event_.
+  bool ready(const command& cmd);
+
   /// Issues the command and accounts for it. Returns completion info
   /// for column commands.
   void issue(const command& cmd);
@@ -103,6 +118,7 @@ class controller {
   timing_checker checker_;
 
   cycles cycle_ = 0;
+  cycles next_event_ = 1;
   std::deque<pending_request> queue_;
   std::size_t queue_capacity_;
   std::deque<bulk_state> bulk_queue_;

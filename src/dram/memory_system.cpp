@@ -1,5 +1,6 @@
 #include "dram/memory_system.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/energy_constants.h"
@@ -46,11 +47,26 @@ void memory_system::tick() {
   for (auto& ch : channels_) ch->tick();
 }
 
+cycles memory_system::next_event() const {
+  cycles next = channels_[0]->next_event();
+  for (const auto& ch : channels_) next = std::min(next, ch->next_event());
+  return next;
+}
+
+void memory_system::skip_to(cycles c) {
+  for (auto& ch : channels_) ch->skip_to(c);
+}
+
 cycles memory_system::drain(cycles max_cycles) {
   cycles advanced = 0;
   while (!idle() && advanced < max_cycles) {
+    // Idle only changes at a completion, which is an event: skip the
+    // no-op cycles before the next one, then tick it.
+    const cycles now = now_cycles();
+    const cycles next = std::min(next_event(), now + (max_cycles - advanced));
+    skip_to(next - 1);
     tick();
-    ++advanced;
+    advanced += next - now;
   }
   if (!idle()) {
     throw std::runtime_error("memory_system::drain: work did not drain");

@@ -1,7 +1,8 @@
 // Multi-channel DRAM memory system facade.
 //
 // Owns one controller per channel, routes requests by address, advances
-// all channels in lockstep, and holds the functional row store that the
+// all channels in lockstep (one tick, or a skip over cycles in which no
+// channel has an event), and holds the functional row store that the
 // in-DRAM compute engines (RowClone, Ambit) and the database layer
 // operate on.
 #ifndef PIM_DRAM_MEMORY_SYSTEM_H
@@ -34,8 +35,17 @@ class memory_system {
   /// Advances every channel by one DRAM clock.
   void tick();
 
-  /// Ticks until all channels are idle or `max_cycles` elapses; returns
-  /// the number of cycles advanced.
+  /// Earliest cycle at which any channel's tick can change state (the
+  /// minimum of controller::next_event over channels).
+  cycles next_event() const;
+
+  /// Moves every channel's clock to `c` without ticking; requires
+  /// now_cycles() <= c < next_event().
+  void skip_to(cycles c);
+
+  /// Advances event by event until all channels are idle or
+  /// `max_cycles` elapses; returns the number of cycles advanced (the
+  /// same count one-cycle ticking would take).
   cycles drain(cycles max_cycles = 100'000'000);
 
   bool idle() const;

@@ -1,5 +1,6 @@
 #include "query/exec.h"
 
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -103,8 +104,14 @@ query_result execute(pim_table& table, const query_plan& plan,
   std::vector<std::exception_ptr> errors(outcomes.size());
   std::vector<std::thread> workers;
   const bool collect = opts.collect_samples;
+  // Simulated admission follows host arrival time, so partitions start
+  // submitting together: a partition whose thread spawned first would
+  // otherwise run its shard's clock ahead of the others.
+  std::latch start(table.partitions());
   for (int p = 0; p < table.partitions(); ++p) {
-    workers.emplace_back([&table, &plan, &outcomes, &errors, collect, p] {
+    workers.emplace_back([&table, &plan, &outcomes, &errors, &start, collect,
+                          p] {
+      start.arrive_and_wait();
       try {
         if (obs::on()) {
           obs::tracer::instance().name_thread(

@@ -546,26 +546,53 @@ void scheduler::tick() {
 
 bool scheduler::idle() const { return outstanding_ == 0 && mem_.idle(); }
 
+cycles scheduler::next_event() const {
+  // Executor runs expire at the first tick whose clock reaches their
+  // deadline; the memory system reports its own next event.
+  const picoseconds tck = mem_.timing().tck_ps;
+  cycles next = mem_.next_event();
+  for (const executor_pool* pool : {&host_pool_, &ndp_pool_}) {
+    for (const auto& [id, deadline] : pool->running) {
+      next = std::min(next, (deadline + tck - 1) / tck);
+    }
+  }
+  return next;
+}
+
+cycles scheduler::advance_until(const std::function<bool()>& done,
+                                cycles limit) {
+  cycles advanced = 0;
+  while (advanced < limit && !done()) {
+    // Between events no command issues, no run expires and no task
+    // completes, so every skipped cycle is a no-op tick with the same
+    // busy-bank count: account for them in bulk, then tick the event.
+    const cycles now = mem_.now_cycles();
+    const cycles next = std::clamp(next_event(), now + 1,
+                                   now + (limit - advanced));
+    const auto skipped = static_cast<std::uint64_t>(next - 1 - now);
+    mem_.skip_to(next - 1);
+    stats_.ticks += skipped;
+    stats_.busy_bank_ticks += mem_.busy_banks() * skipped;
+    tick();
+    advanced += next - now;
+  }
+  return advanced;
+}
+
 void scheduler::wait(const task_future& future) {
   if (!future.valid()) {
     throw std::invalid_argument("scheduler::wait: empty future");
   }
-  cycles waited = 0;
-  while (!future.ready()) {
-    if (++waited > config_.max_wait_cycles) {
-      throw std::runtime_error("scheduler::wait: watchdog expired");
-    }
-    tick();
+  advance_until([&future] { return future.ready(); }, config_.max_wait_cycles);
+  if (!future.ready()) {
+    throw std::runtime_error("scheduler::wait: watchdog expired");
   }
 }
 
 void scheduler::wait_all() {
-  cycles waited = 0;
-  while (!idle()) {
-    if (++waited > config_.max_wait_cycles) {
-      throw std::runtime_error("scheduler::wait_all: watchdog expired");
-    }
-    tick();
+  advance_until([this] { return idle(); }, config_.max_wait_cycles);
+  if (!idle()) {
+    throw std::runtime_error("scheduler::wait_all: watchdog expired");
   }
 }
 

@@ -4,9 +4,16 @@
 // every bulk op, so two ops on different banks serialize even though
 // the controllers can interleave their command sequences. The
 // scheduler instead accepts many tasks at once, releases every task
-// whose data hazards have cleared, and advances all channels in a
-// single tick loop — N independent ops on different (channel, bank)
+// whose data hazards have cleared, and advances all channels on one
+// simulated clock — N independent ops on different (channel, bank)
 // resources overlap, and only true row-level dependencies serialize.
+//
+// The clock is event-driven: advance_until() skips straight to the
+// next cycle at which a DRAM command can issue, a refresh falls due, a
+// completion lands or an executor run expires, and ticks only that
+// cycle. The skipped cycles are still counted (ticks, busy-bank
+// ticks, the watchdog), so every simulated number equals what one
+// tick per cycle would produce; tick() stays the one-cycle primitive.
 //
 // Hazards are tracked at DRAM-row granularity: a task waits for any
 // earlier in-flight task that writes a row it touches, or reads a row
@@ -33,7 +40,7 @@ namespace pim::runtime {
 struct scheduler_config {
   int host_slots = 1;       // concurrent host fallback executions
   int ndp_slots = 4;        // concurrent logic-layer kernel executions
-  cycles max_wait_cycles = 200'000'000;  // wait() watchdog
+  cycles max_wait_cycles = 200'000'000;  // wait() watchdog, sim cycles
 };
 
 /// Counters the scheduler accumulates while ticking.
@@ -90,7 +97,7 @@ class scheduler {
             dram::rowclone_engine& rowclone, scheduler_config config = {});
 
   /// Accepts a routed task. Returns immediately; the work runs as the
-  /// clock advances (tick / wait / wait_all).
+  /// clock advances (tick / advance_until / wait / wait_all).
   task_future submit(pim_task task, backend_kind where,
                      core::offload_decision decision);
 
@@ -101,10 +108,17 @@ class scheduler {
   /// True when no task is pending, in flight, or queued on an executor.
   bool idle() const;
 
-  /// Ticks until `future` completes; throws on watchdog expiry.
+  /// The one time-advance loop: advances event by event until `done()`
+  /// holds or `limit` cycles have elapsed, and returns the cycles
+  /// advanced. `done` is checked before each event, as a per-cycle
+  /// loop would check it before each tick.
+  cycles advance_until(const std::function<bool()>& done, cycles limit);
+
+  /// Advances until `future` completes; throws once the watchdog's
+  /// max_wait_cycles of simulated time have elapsed without it.
   void wait(const task_future& future);
 
-  /// Ticks until every submitted task has completed.
+  /// Advances until every submitted task has completed (same watchdog).
   void wait_all();
 
   /// Invoked once per task, at completion, with its final report (the
@@ -162,6 +176,10 @@ class scheduler {
   void complete(task_id id);
   void apply_host_result(const node& n);
   void process_completions();
+
+  /// Earliest cycle at which tick() can change any state: the memory
+  /// system's next event or the first executor deadline.
+  cycles next_event() const;
 
   dram::memory_system& mem_;
   dram::ambit_engine& ambit_;

@@ -2,12 +2,12 @@
 //
 // The paper's deployment story is many data-intensive clients —
 // databases, graph engines, consumer apps — pushing bulk operations at
-// memory concurrently. One simulated memory system ticks on one
+// memory concurrently. One simulated memory system advances on one
 // thread, so scale-out comes from sharding: the service owns N shards,
 // each a complete PIM stack (memory_system + Ambit + RowClone +
-// pim_runtime) with its own worker thread and tick loop, and a router
-// that pins every client session (and therefore all of its vectors) to
-// a home shard.
+// pim_runtime) with its own worker thread and simulated clock, and a
+// router that pins every client session (and therefore all of its
+// vectors) to a home shard.
 //
 // On top of the home-shard fast path the service runs a two-phase
 // cross-shard planner: an op whose operands live on different shards

@@ -1180,9 +1180,7 @@ void shard::drain() { sys_.wait_all(); }
 
 void shard::advance(int ticks) {
   runtime::scheduler& sched = sys_.runtime().sched();
-  for (int i = 0; i < ticks && !sys_.runtime().idle(); ++i) {
-    sched.tick();
-  }
+  sched.advance_until([&sched] { return sched.idle(); }, ticks);
   // Mirror the simulated clock for client-thread admission stamping.
   // Relaxed is fine: the stamp may lag (the scheduler clamps
   // admit <= submit), it must only never lead the worker's own reads.

@@ -1,7 +1,7 @@
 // One shard of the PIM service: a full simulated PIM stack
 // (memory_system + Ambit + RowClone + pim_runtime inside a
 // core::pim_system) owned exclusively by a dedicated worker thread
-// that runs its tick loop.
+// that advances its simulated clock.
 //
 // Clients submit through bounded per-session queues (admission
 // control: a full queue blocks or rejects instead of growing without
@@ -202,8 +202,8 @@ class shard {
   void run();  // worker thread body
   bool pop_next_locked(request& out);
   exec_result execute(request& req);
-  void drain();             // worker: tick until the runtime is idle
-  void advance(int ticks);  // worker: tick a slice
+  void drain();             // worker: advance until the runtime is idle
+  void advance(int ticks);  // worker: advance a slice of `ticks` cycles
   void apply_weights_locked();
   void publish_stats_locked();
   void fail_all_queued_locked();

@@ -350,6 +350,35 @@ TEST(ControllerTest, QueueFillsAndRejects) {
   mem.drain();
 }
 
+TEST(ControllerTest, NextEventSkipsTimingGaps) {
+  organization org = small_org();
+  org.channels = 1;
+  memory_system mem(org, ddr3_1600());
+  const timing_params t = ddr3_1600();
+  address a;
+  a.bank = 1;
+  a.row = 2;
+  bulk_sequence seq;
+  seq.commands = {{command_kind::activate, a, /*bulk=*/true},
+                  {command_kind::precharge, a, /*bulk=*/true}};
+  mem.enqueue_bulk(0, std::move(seq));
+  EXPECT_EQ(mem.next_event(), 1);  // an enqueue forces the next cycle
+
+  mem.tick();  // ACT at cycle 1
+  EXPECT_EQ(mem.next_event(), 2);
+  mem.tick();  // nothing legal: PRE waits out tRAS
+  EXPECT_EQ(mem.next_event(), 1 + t.tras);
+  EXPECT_THROW(mem.skip_to(1 + t.tras), std::logic_error);
+  mem.skip_to(t.tras);
+  mem.tick();
+  EXPECT_EQ(mem.counters().get("dram.bulk_pre"), 1u);
+  EXPECT_TRUE(mem.idle());
+
+  // With no work left, only the refresh timer bounds the skip.
+  mem.tick();
+  EXPECT_EQ(mem.next_event(), t.trefi);
+}
+
 TEST(ControllerTest, RefreshHappensPeriodically) {
   organization org = small_org();
   org.channels = 1;

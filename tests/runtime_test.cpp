@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
+#include "common/digest.h"
 #include "core/pim_system.h"
 #include "runtime/workload.h"
 
@@ -476,6 +478,240 @@ TEST(DispatcherTest, HostFallbackComputesCorrectResult) {
 
   EXPECT_EQ(sys.read(vecs[2]), ~(a & b));
   EXPECT_EQ(f.report().where, backend_kind::host);
+}
+
+// ---------------------------------------------------------------------------
+// Event-driven clock
+// ---------------------------------------------------------------------------
+
+// A bare scheduler over its own memory system and engines, so a test
+// controls exactly how the clock advances.
+struct clock_rig {
+  explicit clock_rig(const dram::organization& org,
+                     scheduler_config config = {})
+      : mem(org, dram::ddr3_1600()),
+        ambit(mem, true),
+        rowclone(mem),
+        sched(mem, ambit, rowclone, config) {}
+
+  dram::memory_system mem;
+  dram::ambit_engine ambit;
+  dram::rowclone_engine rowclone;
+  scheduler sched;
+};
+
+// What one run of the mix produced, compared field by field between
+// one-cycle ticking and the event-driven path.
+struct clock_trace {
+  std::map<std::string, std::uint64_t> counters;
+  std::vector<std::pair<int, picoseconds>> completions;  // (op, instant)
+  cycles now = 0;
+  std::uint64_t ticks = 0;
+  std::uint64_t busy_bank_ticks = 0;
+  int peak_busy_banks = 0;
+  std::uint64_t digest = fnv1a_basis;
+};
+
+// A seeded mix of every kind of work the clock has to advance through —
+// bursts of host reads/writes across the banks of a rank (so tFAW
+// binds, and rows stay open for the bulk engines to close), Ambit ops, RowClone
+// FPM/PSM copies and memsets, host and NDP executor runs — on 2
+// channels x 2 ranks, over more than three refresh intervals, then an
+// idle tail in which only refresh happens.
+clock_trace run_clock_mix(bool event_driven) {
+  dram::organization org;
+  org.channels = 2;
+  org.ranks = 2;
+  org.banks = 8;
+  org.subarrays = 4;
+  org.rows = 256;
+  org.columns = 8;
+  clock_rig rig(org);
+  dram::memory_system& mem = rig.mem;
+  const dram::timing_params& timing = mem.timing();
+
+  // Groups of three co-located two-row vectors: a, b and d.
+  dram::ambit_allocator alloc(org);
+  std::vector<dram::bulk_vector> vecs;
+  for (int g = 0; g < 8; ++g) {
+    for (dram::bulk_vector& v : alloc.allocate_group(2 * org.row_bits(), 3)) {
+      vecs.push_back(std::move(v));
+    }
+  }
+  rng gen(2024);
+  for (const dram::bulk_vector& v : vecs) {
+    rig.ambit.write_vector(v, bitvector::random(v.size, gen));
+  }
+
+  clock_trace out;
+  auto advance_to = [&](cycles target) {
+    if (event_driven) {
+      rig.sched.advance_until([] { return false; }, target - mem.now_cycles());
+    } else {
+      while (mem.now_cycles() < target) rig.sched.tick();
+    }
+  };
+  auto submit = [&](int op, pim_task task, backend_kind where,
+                    core::offload_decision decision = {}) {
+    task.on_complete = [&out, op](const task_report& r) {
+      out.completions.emplace_back(op, r.complete_ps);
+    };
+    rig.sched.submit(std::move(task), where, decision);
+  };
+  auto any_row = [&] {
+    const dram::bulk_vector& v = vecs[gen.next_below(vecs.size())];
+    return v.rows[gen.next_below(v.rows.size())];
+  };
+
+  const cycles window = 3 * timing.trefi + 2'000;
+  cycles at = 0;
+  for (int op = 0; at < window; ++op) {
+    at += static_cast<cycles>(gen.next_below(80));
+    advance_to(at);
+    const std::size_t g = 3 * gen.next_below(vecs.size() / 3);
+    const std::size_t k = gen.next_below(2);
+    switch (gen.next_below(6)) {
+      case 0: {  // host reads/writes to 5-8 banks of one rank at once
+        dram::address a;
+        a.channel = static_cast<int>(gen.next_below(2));
+        a.rank = static_cast<int>(gen.next_below(2));
+        for (int n = 5 + static_cast<int>(gen.next_below(4)); n > 0; --n) {
+          a.bank = n - 1;
+          a.row = static_cast<int>(gen.next_below(org.rows));
+          a.column = static_cast<int>(gen.next_below(org.columns));
+          dram::request req;
+          req.kind = gen.next_below(2) == 0 ? dram::request_kind::read
+                                            : dram::request_kind::write;
+          req.addr = mem.mapper().linearize(a);
+          req.on_complete = [&out, op](picoseconds t) {
+            out.completions.emplace_back(op, t);
+          };
+          if (!mem.enqueue(std::move(req))) {
+            out.completions.emplace_back(op, -1);
+          }
+        }
+        break;
+      }
+      case 1: {  // Ambit op
+        const auto& ops = dram::all_bulk_ops();
+        const dram::bulk_op bop = ops[gen.next_below(ops.size())];
+        submit(op,
+               make_bulk_task(bop, vecs[g],
+                              dram::is_unary(bop) ? nullptr : &vecs[g + 1],
+                              vecs[g + 2]),
+               backend_kind::ambit);
+        break;
+      }
+      case 2: {  // RowClone FPM within a subarray
+        pim_task t;
+        t.payload = row_copy_args{vecs[g].rows[k], vecs[g + 2].rows[k], true};
+        submit(op, std::move(t), backend_kind::rowclone);
+        break;
+      }
+      case 3: {  // RowClone PSM to another bank of the same channel
+        const dram::address src = vecs[g].rows[k];
+        dram::address dst = any_row();
+        while (dst.channel != src.channel ||
+               (dst.rank == src.rank && dst.bank == src.bank)) {
+          dst = any_row();
+        }
+        pim_task t;
+        t.payload = row_copy_args{src, dst, false};
+        submit(op, std::move(t), backend_kind::rowclone);
+        break;
+      }
+      case 4: {  // RowClone memset
+        pim_task t;
+        const bool ones = gen.next_below(2) == 0;
+        t.payload = row_memset_args{vecs[g + 1].rows[k], ones};
+        submit(op, std::move(t), backend_kind::rowclone);
+        break;
+      }
+      case 5: {  // host / NDP executor run, off the tCK grid
+        core::offload_decision d;
+        d.host_time = gen.next_in(1'000, 150'000);
+        d.pim_time = gen.next_in(1'000, 150'000);
+        const backend_kind where = gen.next_below(2) == 0
+                                       ? backend_kind::host
+                                       : backend_kind::ndp_logic;
+        if (gen.next_below(2) == 0) {
+          submit(op,
+                 make_bulk_task(dram::bulk_op::xor_op, vecs[g], &vecs[g + 1],
+                                vecs[g + 2]),
+                 where, d);
+        } else {
+          pim_task t;
+          t.payload = host_kernel_args{};
+          submit(op, std::move(t), where, d);
+        }
+        break;
+      }
+    }
+  }
+  if (event_driven) {
+    rig.sched.wait_all();
+  } else {
+    while (!rig.sched.idle()) rig.sched.tick();
+  }
+  advance_to(mem.now_cycles() + 2 * timing.trefi);
+
+  out.counters = mem.counters().all();
+  out.now = mem.now_cycles();
+  out.ticks = rig.sched.stats().ticks;
+  out.busy_bank_ticks = rig.sched.stats().busy_bank_ticks;
+  out.peak_busy_banks = rig.sched.stats().peak_busy_banks;
+  for (const dram::bulk_vector& v : vecs) {
+    out.digest = fnv1a(out.digest, rig.ambit.read_vector(v));
+  }
+  return out;
+}
+
+TEST(EventClockTest, MatchesOneCycleTicking) {
+  const clock_trace stepped = run_clock_mix(false);
+  const clock_trace evented = run_clock_mix(true);
+
+  // The mix exercised what the next-event bound must account for.
+  ASSERT_GE(stepped.counters.at("dram.ref"), 6u);  // 2 ranks x 3+ tREFI
+  ASSERT_GT(stepped.counters.at("ctrl.refresh_pre"), 0u);
+  ASSERT_GT(stepped.counters.at("dram.tra"), 0u);
+  ASSERT_GT(stepped.counters.at("dram.bulk_rd"), 0u);  // PSM
+  ASSERT_GT(stepped.counters.at("dram.act"), 0u);      // host ACTs (tFAW)
+  ASSERT_GT(stepped.completions.size(), 300u);
+
+  EXPECT_EQ(evented.counters, stepped.counters);
+  EXPECT_EQ(evented.completions, stepped.completions);
+  EXPECT_EQ(evented.now, stepped.now);
+  EXPECT_EQ(evented.ticks, stepped.ticks);
+  EXPECT_EQ(evented.busy_bank_ticks, stepped.busy_bank_ticks);
+  EXPECT_EQ(evented.peak_busy_banks, stepped.peak_busy_banks);
+  EXPECT_EQ(evented.digest, stepped.digest);
+}
+
+TEST(EventClockTest, WatchdogCountsSimulatedCycles) {
+  // One host run of exactly `service` cycles, alone on the clock: the
+  // skip over its idle middle still counts every cycle against
+  // max_wait_cycles.
+  const cycles service = 5'000;
+  for (const cycles slack : {cycles{8}, cycles{-8}}) {
+    scheduler_config config;
+    config.max_wait_cycles = service + slack;
+    clock_rig rig(small_config().org, config);
+    core::offload_decision d;
+    d.host_time = rig.mem.timing().cycles_to_ps(service);
+    pim_task t;
+    t.payload = host_kernel_args{};
+    const task_future f =
+        rig.sched.submit(std::move(t), backend_kind::host, d);
+    if (slack > 0) {
+      rig.sched.wait(f);
+      EXPECT_EQ(rig.mem.now_cycles(), service);
+      EXPECT_EQ(rig.sched.stats().ticks, static_cast<std::uint64_t>(service));
+    } else {
+      EXPECT_THROW(rig.sched.wait(f), std::runtime_error);
+      EXPECT_EQ(rig.mem.now_cycles(), service + slack);
+      EXPECT_FALSE(f.ready());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
