@@ -15,7 +15,9 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -315,6 +317,215 @@ TEST(protocol, rejects_trailing_bytes_in_frame) {
   frame_splitter splitter;
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire bytes
+// ---------------------------------------------------------------------------
+
+dram::address golden_address(int k) {
+  dram::address a;
+  a.channel = k;
+  a.rank = k + 1;
+  a.bank = -(k + 2);  // negative: pins the i32 sign extension
+  a.row = 1000 * k + 7;
+  a.column = k + 3;
+  return a;
+}
+
+dram::bulk_vector golden_vector(int k) {
+  dram::bulk_vector v;
+  v.size = 8192 * 2 + static_cast<bits>(k);
+  v.rows = {golden_address(k), golden_address(k + 10)};
+  return v;
+}
+
+bitvector golden_bits(std::size_t size, std::uint64_t salt) {
+  bitvector v(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    v.set(i, ((i * 2654435761u) ^ salt) % 3 == 0);
+  }
+  return v;
+}
+
+/// Every message type with every field set to a non-default value,
+/// plus the absent state of each optional operand. Shared by the
+/// golden-bytes pin and the decoder fuzzer.
+std::vector<std::pair<std::string, net_message>> golden_messages() {
+  std::vector<std::pair<std::string, net_message>> out;
+  out.emplace_back("open_session", open_session_req{2.75});
+  out.emplace_back("close_session", close_session_req{0x1122334455667788ull});
+  out.emplace_back("allocate", allocate_req{9, 16384, -3});
+  {
+    write_req m;
+    m.session = 4;
+    m.v = golden_vector(1);
+    m.data = golden_bits(130, 5);  // a partial last word
+    out.emplace_back("write", m);
+  }
+  {
+    read_req m;
+    m.session = 5;
+    m.v = golden_vector(2);
+    out.emplace_back("read", m);
+  }
+  {
+    submit_req m;
+    m.session = 6;
+    m.op = dram::bulk_op::xnor_op;
+    m.a = golden_vector(3);
+    m.b = golden_vector(4);
+    m.d = golden_vector(5);
+    out.emplace_back("submit", m);
+    m.op = dram::bulk_op::not_op;
+    m.b.reset();
+    out.emplace_back("submit_unary", m);
+  }
+  {
+    submit_shared_req m;
+    m.issuer = 7;
+    m.op = dram::bulk_op::or_op;
+    m.a = {11, golden_vector(6)};
+    m.b = service::shared_vector{12, golden_vector(7)};
+    m.d = {13, golden_vector(8)};
+    out.emplace_back("submit_shared", m);
+    m.op = dram::bulk_op::not_op;
+    m.b.reset();
+    out.emplace_back("submit_shared_unary", m);
+  }
+  out.emplace_back("wait", wait_req{});
+  out.emplace_back("stats", stats_req{});
+  out.emplace_back("hello", hello_req{3});
+  out.emplace_back("get_metrics", get_metrics_req{});
+  out.emplace_back("trace_ctl", trace_ctl_req{trace_ctl_req::dump, "t.json"});
+  out.emplace_back("watch_stats", watch_stats_req{250, -5});
+  out.emplace_back("opened", opened_resp{1234, -1});
+  out.emplace_back("closed", closed_resp{});
+  {
+    vectors_resp m;
+    m.vectors = {golden_vector(9), golden_vector(10), golden_vector(11)};
+    out.emplace_back("vectors", m);
+  }
+  out.emplace_back("data", data_resp{golden_bits(64 * 3, 9)});
+  {
+    done_resp m;
+    runtime::task_report& r = m.report;
+    r.id = 55;
+    r.stream = -2;
+    r.kind = runtime::task_kind::row_memset;
+    r.where = runtime::backend_kind::ndp_logic;
+    r.submit_ps = 10;
+    r.start_ps = 20;
+    r.complete_ps = 300;
+    r.output_bytes = 4096;
+    r.channel = 1;
+    r.bank = 6;
+    r.energy_fj = 0xabcdef;
+    r.insitu_bytes = 11;
+    r.offchip_bytes = 12;
+    r.wire_bytes = 13;
+    r.admit_ps = 5;
+    r.release_ps = 15;
+    r.blocked_on = 54;
+    r.blocked_row = 0x8000000000000001ull;
+    r.wire_hop = true;
+    out.emplace_back("done", m);
+  }
+  out.emplace_back("waited", waited_resp{});
+  out.emplace_back("stats_report", stats_resp{"{\"x\":1}"});
+  out.emplace_back("error", error_resp{"boom"});
+  out.emplace_back("hello_ack", hello_resp{2});
+  out.emplace_back("metrics_report", metrics_resp{"{\"metrics\":{}}"});
+  out.emplace_back("trace_ack", trace_ack_resp{12, "[]"});
+  {
+    stats_push_resp m;
+    m.seq = 3;
+    m.last = 1;
+    m.counters = {{"service.requests_completed", 42}, {"c2", 0}};
+    m.gauges = {{"service.shard.0.queue_depth", -1}};
+    m.hists = {{"service.latency_ns", 10, 1.5, 2.5, 3.5},
+               {"h2", 1, -0.0, 1e300, 4.0}};
+    out.emplace_back("stats_push", m);
+  }
+  return out;
+}
+
+std::string hex_digest(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(protocol, golden_bytes_pin_every_message_at_every_version) {
+  // Round trips cannot see a layout change made symmetrically on both
+  // sides; these digests pin the exact frame bytes. Each covers the
+  // message's frames at versions 1..4 (request id = 100 + version),
+  // so a version-gated tail that moves changes the digest too.
+  static_assert(wire_version_min == 1 && wire_version == 4,
+                "version window changed: extend the golden digests");
+  const std::map<std::string, std::string> expected = {
+      {"open_session", "26922cac3a060b75"},
+      {"close_session", "05ed785a6f3a7029"},
+      {"allocate", "97c18e4a5d344651"},
+      {"write", "8614ff998a11203d"},
+      {"read", "c1aa1bb58734b3a5"},
+      {"submit", "09a28750078ac9d1"},
+      {"submit_unary", "6148a9b5014d4079"},
+      {"submit_shared", "5f988e6f96f50d6d"},
+      {"submit_shared_unary", "393d5e411ed77d39"},
+      {"wait", "c005c3d0a8dbf139"},
+      {"stats", "5f73b1fdb5d77c6d"},
+      {"hello", "36ee6ea59b46af45"},
+      {"get_metrics", "10faa39abb114c7d"},
+      {"trace_ctl", "34ba5de8269dc23d"},
+      {"watch_stats", "b7a04fb0a5cb5055"},
+      {"opened", "5b2d18c62bfb9c49"},
+      {"closed", "448789d663782e8d"},
+      {"vectors", "7ba332a3f0b56415"},
+      {"data", "144a2f277f266dad"},
+      {"done", "a3f6ddbd43460160"},
+      {"waited", "e2c709117d7bbbd5"},
+      {"stats_report", "e9d957941ebe86dd"},
+      {"error", "3ecf6514959d9641"},
+      {"hello_ack", "d8d7247494114065"},
+      {"metrics_report", "ce4ad8eebd3c3ba1"},
+      {"trace_ack", "0c1735b505b6ab31"},
+      {"stats_push", "daaef2da6a864ba1"},
+  };
+  const auto messages = golden_messages();
+  EXPECT_EQ(messages.size(), std::variant_size_v<net_message> + 2);
+  for (const auto& [name, msg] : messages) {
+    std::vector<std::uint8_t> all;
+    for (std::uint8_t v = wire_version_min; v <= wire_version; ++v) {
+      const auto frame = encode_frame(100 + v, msg, v);
+      all.insert(all.end(), frame.begin(), frame.end());
+    }
+    const auto it = expected.find(name);
+    EXPECT_TRUE(it != expected.end() && it->second == hex_digest(all))
+        << "{\"" << name << "\", \"" << hex_digest(all) << "\"},";
+  }
+}
+
+TEST(protocol, golden_frames_decode_and_reencode_byte_identically) {
+  // The decoder reads back exactly what the encoder wrote, at every
+  // version: decode + re-encode reproduces the frame bytes.
+  for (const auto& [name, msg] : golden_messages()) {
+    for (std::uint8_t v = wire_version_min; v <= wire_version; ++v) {
+      const auto wire = encode_frame(v, msg, v);
+      frame_splitter splitter;
+      splitter.feed(wire.data(), wire.size());
+      const std::optional<net_frame> frame = splitter.next();
+      ASSERT_TRUE(frame.has_value()) << name << " v" << int(v);
+      EXPECT_EQ(encode_frame(frame->id, frame->msg, v), wire)
+          << name << " v" << int(v);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
