@@ -1,8 +1,8 @@
 // Micro-benchmarks of pimlib's own primitives (google-benchmark):
 // bitvector algebra and range copies, cache simulation, DRAM controller
 // throughput, Ambit command compilation and row I/O, the simulated
-// clock behind one runtime op, and graph generation. These guard the
-// simulator's performance, not the paper's results.
+// clock behind one runtime op, the wire codec, and graph generation.
+// These guard the simulator's performance, not the paper's results.
 #include <benchmark/benchmark.h>
 
 #include "common/bitvector.h"
@@ -11,6 +11,7 @@
 #include "dram/ambit.h"
 #include "dram/memory_system.h"
 #include "graph/graph.h"
+#include "net/protocol.h"
 
 namespace {
 
@@ -90,6 +91,43 @@ void bm_read_vector(benchmark::State& state) {
                           static_cast<std::int64_t>(v.size / 8));
 }
 BENCHMARK(bm_read_vector);
+
+// The wire codec on the remote request path: encode one frame and split
+// it back out of a frame_splitter. Arg(0) is a submit_req over one-row
+// operands, Arg(1) a done_resp at the current version (v4 report tail).
+void bm_wire_codec(benchmark::State& state) {
+  auto one_row = [](int row) {
+    dram::bulk_vector v;
+    v.size = 8192;
+    v.rows = {dram::address{0, 0, row % 8, row, 0}};
+    return v;
+  };
+  net::net_message msg;
+  if (state.range(0) == 0) {
+    net::submit_req req;
+    req.session = 1;
+    req.op = dram::bulk_op::and_op;
+    req.a = one_row(1);
+    req.b = one_row(2);
+    req.d = one_row(3);
+    msg = req;
+  } else {
+    net::done_resp resp;
+    resp.report.output_bytes = 1024;
+    resp.report.complete_ps = 123456;
+    msg = resp;
+  }
+  net::frame_splitter splitter;
+  std::uint64_t id = 0;
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> frame = net::encode_frame(++id, msg);
+    splitter.feed(frame.data(), frame.size());
+    benchmark::DoNotOptimize(splitter.next());
+  }
+  state.SetLabel(state.range(0) == 0 ? "submit_req" : "done_resp v4");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_wire_codec)->Arg(0)->Arg(1);
 
 void bm_cache_stream(benchmark::State& state) {
   cpu::cache c(cpu::cache_config{"L2", 1 * mib, 16, 64});

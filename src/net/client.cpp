@@ -129,7 +129,7 @@ service::request_future remote_client::send_request(
   // trace stitches the client's send to the server's dispatch and the
   // shard's simulated spans.
   const std::uint64_t id = obs::new_flow();
-  const bool flowing = obs::on() && msg.index() >= 3 && msg.index() <= 6;
+  const bool flowing = obs::on() && is_task_request(msg);
   obs::span sp("send", "net", flowing ? id : 0);
   if (flowing) {
     state->flow = id;

@@ -1,513 +1,360 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <concepts>
 #include <cstring>
-#include <iterator>
+#include <type_traits>
+#include <utility>
 
 namespace pim::net {
 namespace {
 
-// --- primitive encoding (explicit little-endian, alignment-free) -----------
+// --- the two codec directions ----------------------------------------------
+//
+// Every body's layout is one fields() function, run with a writer to
+// encode (over a const message) and with a reader to decode (into a
+// fresh one). Both speak the same small vocabulary: fixed-width
+// little-endian scalars, one-byte enums/flags, u32-length strings,
+// bit vectors and u32 element counts.
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_i32(std::vector<std::uint8_t>& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_bitvector(std::vector<std::uint8_t>& out, const bitvector& v) {
-  put_u64(out, v.size());
-  for (std::size_t w = 0; w < v.word_count(); ++w) put_u64(out, v.get_word(w));
-}
-
-void put_address(std::vector<std::uint8_t>& out, const dram::address& a) {
-  put_i32(out, a.channel);
-  put_i32(out, a.rank);
-  put_i32(out, a.bank);
-  put_i32(out, a.row);
-  put_i32(out, a.column);
-}
-
-void put_vector(std::vector<std::uint8_t>& out, const dram::bulk_vector& v) {
-  put_u64(out, v.size);
-  put_u32(out, static_cast<std::uint32_t>(v.rows.size()));
-  for (const dram::address& a : v.rows) put_address(out, a);
-}
-
-void put_shared(std::vector<std::uint8_t>& out,
-                const service::shared_vector& sv) {
-  put_u64(out, sv.owner);
-  put_vector(out, sv.v);
-}
-
-void put_report(std::vector<std::uint8_t>& out, const runtime::task_report& r,
-                std::uint8_t version) {
-  put_u64(out, r.id);
-  put_i32(out, r.stream);
-  put_u8(out, static_cast<std::uint8_t>(r.kind));
-  put_u8(out, static_cast<std::uint8_t>(r.where));
-  put_i64(out, r.submit_ps);
-  put_i64(out, r.start_ps);
-  put_i64(out, r.complete_ps);
-  put_u64(out, r.output_bytes);
-  put_i32(out, r.channel);
-  put_i32(out, r.bank);
-  if (version >= 3) {
-    // v3: the live energy meter's per-task charge and moved-bytes
-    // ledger ride the report, so remote sessions fold the same energy
-    // attribution as in-process ones.
-    put_u64(out, r.energy_fj);
-    put_u64(out, r.insitu_bytes);
-    put_u64(out, r.offchip_bytes);
-    put_u64(out, r.wire_bytes);
-  }
-  if (version >= 4) {
-    // v4: wait-state attribution — the admit/release stamps that
-    // split the old queue wait into admission/hazard/bank segments,
-    // the release edge (blocking task + row) the critical-path
-    // analyzer walks, and the wire-hop execution flag.
-    put_i64(out, r.admit_ps);
-    put_i64(out, r.release_ps);
-    put_u64(out, r.blocked_on);
-    put_u64(out, r.blocked_row);
-    put_u8(out, r.wire_hop ? 1 : 0);
+template <class T>
+void store_le(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    std::reverse(p, p + sizeof(T));
   }
 }
 
-// --- primitive decoding (bounds-checked against the frame) -----------------
+template <class T>
+T load_le(const std::uint8_t* p) {
+  std::uint8_t le[sizeof(T)];
+  std::memcpy(le, p, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    std::reverse(le, le + sizeof(T));
+  }
+  T v;
+  std::memcpy(&v, le, sizeof(T));
+  return v;
+}
+
+struct writer {
+  std::vector<std::uint8_t>& out;
+  /// The frame's negotiated version: version-gated fields key off it.
+  std::uint8_t version;
+
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    return out.data() + at;
+  }
+  template <class T>
+  void scalar(const T& v) {
+    store_le(grow(sizeof(T)), v);
+  }
+  template <class T>
+  void byte(const T& v) {
+    out.push_back(static_cast<std::uint8_t>(v));
+  }
+  void str(const std::string& s) {
+    scalar(static_cast<std::uint32_t>(s.size()));
+    std::memcpy(grow(s.size()), s.data(), s.size());
+  }
+  void bits(const bitvector& v) {
+    scalar(std::uint64_t{v.size()});
+    std::uint8_t* p = grow(v.word_count() * 8);
+    for (std::size_t w = 0; w < v.word_count(); ++w) {
+      store_le(p + 8 * w, v.get_word(w));
+    }
+  }
+  std::size_t count(std::size_t n, std::size_t /*min_element_bytes*/) {
+    scalar(static_cast<std::uint32_t>(n));
+    return n;
+  }
+  void require(bool /*ok*/, const char* /*what*/) {}
+};
 
 struct reader {
   const std::uint8_t* p = nullptr;
   std::size_t size = 0;
   std::size_t pos = 0;
-  /// The frame's negotiated version, set by frame_splitter::next()
-  /// before the body decodes — version-gated fields (task-report
-  /// energy, v3+) key off it.
+  /// The frame's version, set by frame_splitter::next() from the
+  /// header before the body decodes.
   std::uint8_t version = wire_version;
 
-  void need(std::size_t n) const {
-    if (pos + n > size) throw protocol_error("truncated frame body");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return p[pos++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[pos++]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[pos++]) << (8 * i);
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(p + pos), n);
+  std::size_t left() const { return size - pos; }
+  const std::uint8_t* take(std::size_t n) {
+    if (n > left()) throw protocol_error("truncated frame body");
+    const std::uint8_t* at = p + pos;
     pos += n;
-    return s;
+    return at;
   }
-
-  bitvector bv() {
-    const std::uint64_t size_bits = u64();
-    if (size_bits > static_cast<std::uint64_t>(max_frame_bytes) * 8) {
+  template <class T>
+  void scalar(T& v) {
+    v = load_le<T>(take(sizeof(T)));
+  }
+  template <class T>
+  void byte(T& v) {
+    v = static_cast<T>(*take(1));
+  }
+  void str(std::string& s) {
+    std::uint32_t n = 0;
+    scalar(n);
+    const std::uint8_t* at = take(n);
+    s.assign(reinterpret_cast<const char*>(at), n);
+  }
+  void bits(bitvector& v) {
+    std::uint64_t size_bits = 0;
+    scalar(size_bits);
+    // Bounded by what is left of the frame before anything is sized
+    // from the claim: a tiny frame cannot make us zero-fill megabytes.
+    const std::uint64_t words = size_bits / 64 + (size_bits % 64 != 0);
+    if (words > left() / 8) {
       throw protocol_error("bitvector larger than its frame");
     }
-    bitvector v(static_cast<std::size_t>(size_bits));
-    for (std::size_t w = 0; w < v.word_count(); ++w) v.set_word(w, u64());
-    return v;
-  }
-
-  dram::address addr() {
-    dram::address a;
-    a.channel = i32();
-    a.rank = i32();
-    a.bank = i32();
-    a.row = i32();
-    a.column = i32();
-    return a;
-  }
-
-  dram::bulk_vector vec() {
-    dram::bulk_vector v;
-    v.size = u64();
-    const std::uint32_t rows = u32();
-    // 20 bytes per row: a count that cannot fit the remaining frame is
-    // malformed, not a reason to reserve gigabytes.
-    if (static_cast<std::size_t>(rows) * 20 > size - pos) {
-      throw protocol_error("row count exceeds frame");
+    v = bitvector(static_cast<std::size_t>(size_bits));
+    const std::uint8_t* at = take(v.word_count() * 8);
+    for (std::size_t w = 0; w < v.word_count(); ++w) {
+      v.set_word(w, load_le<std::uint64_t>(at + 8 * w));
     }
-    v.rows.reserve(rows);
-    for (std::uint32_t i = 0; i < rows; ++i) v.rows.push_back(addr());
-    return v;
   }
-
-  service::shared_vector shared() {
-    service::shared_vector sv;
-    sv.owner = u64();
-    sv.v = vec();
-    return sv;
+  /// A u32 element count, bounded by the remaining frame: a count that
+  /// cannot fit is malformed, not a reason to allocate gigabytes.
+  std::size_t count(std::size_t /*current*/, std::size_t min_element_bytes) {
+    std::uint32_t n = 0;
+    scalar(n);
+    if (static_cast<std::size_t>(n) * min_element_bytes > left()) {
+      throw protocol_error("element count exceeds frame");
+    }
+    return n;
   }
-
-  runtime::task_report report() {
-    runtime::task_report r;
-    r.id = u64();
-    r.stream = i32();
-    r.kind = static_cast<runtime::task_kind>(u8());
-    r.where = static_cast<runtime::backend_kind>(u8());
-    r.submit_ps = i64();
-    r.start_ps = i64();
-    r.complete_ps = i64();
-    r.output_bytes = u64();
-    r.channel = i32();
-    r.bank = i32();
-    if (version >= 3) {
-      r.energy_fj = u64();
-      r.insitu_bytes = u64();
-      r.offchip_bytes = u64();
-      r.wire_bytes = u64();
-    }
-    if (version >= 4) {
-      r.admit_ps = i64();
-      r.release_ps = i64();
-      r.blocked_on = u64();
-      r.blocked_row = u64();
-      r.wire_hop = u8() != 0;
-    }
-    return r;
-  }
-
-  dram::bulk_op op() {
-    const std::uint8_t raw = u8();
-    if (raw > static_cast<std::uint8_t>(dram::bulk_op::xnor_op)) {
-      throw protocol_error("unknown bulk op");
-    }
-    return static_cast<dram::bulk_op>(raw);
+  void require(bool ok, const char* what) {
+    if (!ok) throw protocol_error(what);
   }
 };
 
-void encode_body(std::vector<std::uint8_t>& out, const net_message& msg,
-                 std::uint8_t version) {
-  std::visit(
-      [&out, version](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, open_session_req>) {
-          put_f64(out, m.weight);
-        } else if constexpr (std::is_same_v<T, close_session_req>) {
-          put_u64(out, m.session);
-        } else if constexpr (std::is_same_v<T, allocate_req>) {
-          put_u64(out, m.session);
-          put_u64(out, m.size);
-          put_i32(out, m.count);
-        } else if constexpr (std::is_same_v<T, write_req>) {
-          put_u64(out, m.session);
-          put_vector(out, m.v);
-          put_bitvector(out, m.data);
-        } else if constexpr (std::is_same_v<T, read_req>) {
-          put_u64(out, m.session);
-          put_vector(out, m.v);
-        } else if constexpr (std::is_same_v<T, submit_req>) {
-          put_u64(out, m.session);
-          put_u8(out, static_cast<std::uint8_t>(m.op));
-          put_vector(out, m.a);
-          put_u8(out, m.b.has_value() ? 1 : 0);
-          if (m.b) put_vector(out, *m.b);
-          put_vector(out, m.d);
-        } else if constexpr (std::is_same_v<T, submit_shared_req>) {
-          put_u64(out, m.issuer);
-          put_u8(out, static_cast<std::uint8_t>(m.op));
-          put_shared(out, m.a);
-          put_u8(out, m.b.has_value() ? 1 : 0);
-          if (m.b) put_shared(out, *m.b);
-          put_shared(out, m.d);
-        } else if constexpr (std::is_same_v<T, wait_req> ||
-                             std::is_same_v<T, stats_req> ||
-                             std::is_same_v<T, get_metrics_req> ||
-                             std::is_same_v<T, closed_resp> ||
-                             std::is_same_v<T, waited_resp>) {
-          // Empty body.
-        } else if constexpr (std::is_same_v<T, trace_ctl_req>) {
-          put_u8(out, m.action);
-          put_string(out, m.path);
-        } else if constexpr (std::is_same_v<T, watch_stats_req>) {
-          put_u32(out, m.interval_ms);
-          put_i64(out, m.slow_threshold_ns);
-        } else if constexpr (std::is_same_v<T, stats_push_resp>) {
-          put_u64(out, m.seq);
-          put_u8(out, m.last);
-          put_u32(out, static_cast<std::uint32_t>(m.counters.size()));
-          for (const auto& [name, value] : m.counters) {
-            put_string(out, name);
-            put_u64(out, value);
-          }
-          put_u32(out, static_cast<std::uint32_t>(m.gauges.size()));
-          for (const auto& [name, value] : m.gauges) {
-            put_string(out, name);
-            put_i64(out, value);
-          }
-          put_u32(out, static_cast<std::uint32_t>(m.hists.size()));
-          for (const auto& h : m.hists) {
-            put_string(out, h.name);
-            put_u64(out, h.count);
-            put_f64(out, h.p50);
-            put_f64(out, h.p95);
-            put_f64(out, h.p99);
-          }
-        } else if constexpr (std::is_same_v<T, metrics_resp>) {
-          put_string(out, m.json);
-        } else if constexpr (std::is_same_v<T, trace_ack_resp>) {
-          put_u64(out, m.events);
-          put_string(out, m.json);
-        } else if constexpr (std::is_same_v<T, hello_req>) {
-          put_u8(out, m.max_version);
-        } else if constexpr (std::is_same_v<T, hello_resp>) {
-          put_u8(out, m.version);
-        } else if constexpr (std::is_same_v<T, opened_resp>) {
-          put_u64(out, m.session);
-          put_i32(out, m.shard);
-        } else if constexpr (std::is_same_v<T, vectors_resp>) {
-          put_u32(out, static_cast<std::uint32_t>(m.vectors.size()));
-          for (const dram::bulk_vector& v : m.vectors) put_vector(out, v);
-        } else if constexpr (std::is_same_v<T, data_resp>) {
-          put_bitvector(out, m.data);
-        } else if constexpr (std::is_same_v<T, done_resp>) {
-          put_report(out, m.report, version);
-        } else if constexpr (std::is_same_v<T, stats_resp>) {
-          put_string(out, m.json);
-        } else if constexpr (std::is_same_v<T, error_resp>) {
-          put_string(out, m.message);
-        }
-      },
-      msg);
+// --- field functions: one per wire shape ------------------------------------
+//
+// M is T for the reader and const T for the writer. Composite layouts
+// list their members in wire order; fields(io, a, b, ...) runs each.
+
+template <class M, class T>
+concept maybe_const = std::same_as<std::remove_const_t<M>, T>;
+
+template <class M, template <class...> class Tmpl>
+inline constexpr bool instance_of = false;
+template <template <class...> class Tmpl, class... A>
+inline constexpr bool instance_of<Tmpl<A...>, Tmpl> = true;
+template <template <class...> class Tmpl, class... A>
+inline constexpr bool instance_of<const Tmpl<A...>, Tmpl> = true;
+
+template <class IO, class... F>
+  requires(sizeof...(F) > 1)
+void fields(IO& io, F&... f) {
+  (fields(io, f), ...);
 }
 
-net_message decode_body(opcode op, reader& in) {
-  switch (op) {
-    case opcode::open_session: {
-      open_session_req m;
-      m.weight = in.f64();
-      return m;
-    }
-    case opcode::close_session: {
-      close_session_req m;
-      m.session = in.u64();
-      return m;
-    }
-    case opcode::allocate: {
-      allocate_req m;
-      m.session = in.u64();
-      m.size = in.u64();
-      m.count = in.i32();
-      return m;
-    }
-    case opcode::write: {
-      write_req m;
-      m.session = in.u64();
-      m.v = in.vec();
-      m.data = in.bv();
-      return m;
-    }
-    case opcode::read: {
-      read_req m;
-      m.session = in.u64();
-      m.v = in.vec();
-      return m;
-    }
-    case opcode::submit: {
-      submit_req m;
-      m.session = in.u64();
-      m.op = in.op();
-      m.a = in.vec();
-      if (in.u8() != 0) m.b = in.vec();
-      m.d = in.vec();
-      return m;
-    }
-    case opcode::submit_shared: {
-      submit_shared_req m;
-      m.issuer = in.u64();
-      m.op = in.op();
-      m.a = in.shared();
-      if (in.u8() != 0) m.b = in.shared();
-      m.d = in.shared();
-      return m;
-    }
-    case opcode::wait:
-      return wait_req{};
-    case opcode::stats:
-      return stats_req{};
-    case opcode::get_metrics:
-      return get_metrics_req{};
-    case opcode::trace_ctl: {
-      trace_ctl_req m;
-      m.action = in.u8();
-      if (m.action > trace_ctl_req::clear) {
-        throw protocol_error("unknown trace_ctl action");
-      }
-      m.path = in.str();
-      return m;
-    }
-    case opcode::watch_stats: {
-      watch_stats_req m;
-      m.interval_ms = in.u32();
-      m.slow_threshold_ns = in.i64();
-      return m;
-    }
-    case opcode::stats_push: {
-      stats_push_resp m;
-      m.seq = in.u64();
-      m.last = in.u8();
-      const std::uint32_t nc = in.u32();
-      for (std::uint32_t i = 0; i < nc; ++i) {
-        std::string name = in.str();
-        const std::uint64_t value = in.u64();
-        m.counters.emplace_back(std::move(name), value);
-      }
-      const std::uint32_t ng = in.u32();
-      for (std::uint32_t i = 0; i < ng; ++i) {
-        std::string name = in.str();
-        const std::int64_t value = in.i64();
-        m.gauges.emplace_back(std::move(name), value);
-      }
-      const std::uint32_t nh = in.u32();
-      for (std::uint32_t i = 0; i < nh; ++i) {
-        stats_push_resp::hist_entry h;
-        h.name = in.str();
-        h.count = in.u64();
-        h.p50 = in.f64();
-        h.p95 = in.f64();
-        h.p99 = in.f64();
-        m.hists.push_back(std::move(h));
-      }
-      return m;
-    }
-    case opcode::metrics_report: {
-      metrics_resp m;
-      m.json = in.str();
-      return m;
-    }
-    case opcode::trace_ack: {
-      trace_ack_resp m;
-      m.events = in.u64();
-      m.json = in.str();
-      return m;
-    }
-    case opcode::hello: {
-      hello_req m;
-      m.max_version = in.u8();
-      return m;
-    }
-    case opcode::hello_ack: {
-      hello_resp m;
-      m.version = in.u8();
-      return m;
-    }
-    case opcode::opened: {
-      opened_resp m;
-      m.session = in.u64();
-      m.shard = in.i32();
-      return m;
-    }
-    case opcode::closed:
-      return closed_resp{};
-    case opcode::vectors: {
-      vectors_resp m;
-      const std::uint32_t n = in.u32();
-      for (std::uint32_t i = 0; i < n; ++i) m.vectors.push_back(in.vec());
-      return m;
-    }
-    case opcode::data: {
-      data_resp m;
-      m.data = in.bv();
-      return m;
-    }
-    case opcode::done: {
-      done_resp m;
-      m.report = in.report();
-      return m;
-    }
-    case opcode::waited:
-      return waited_resp{};
-    case opcode::stats_report: {
-      stats_resp m;
-      m.json = in.str();
-      return m;
-    }
-    case opcode::error: {
-      error_resp m;
-      m.message = in.str();
-      return m;
-    }
-  }
-  throw protocol_error("unknown opcode");
+/// Integers and doubles travel at their own width.
+template <class IO, class M>
+  requires std::is_arithmetic_v<M> && (!maybe_const<M, bool>)
+void fields(IO& io, M& v) { io.scalar(v); }
+
+template <class IO, maybe_const<std::string> M>
+void fields(IO& io, M& s) { io.str(s); }
+
+template <class IO, maybe_const<bitvector> M>
+void fields(IO& io, M& v) { io.bits(v); }
+
+/// Empty bodies (wait, stats, get_metrics, closed, waited).
+template <class IO, class M>
+  requires std::is_empty_v<M>
+void fields(IO&, M&) {}
+
+/// u8 presence flag, then the value when present.
+template <class IO, class M>
+  requires instance_of<M, std::optional>
+void fields(IO& io, M& o) {
+  bool present = o.has_value();
+  io.byte(present);
+  if (!present) return;
+  if constexpr (!std::is_const_v<M>) o.emplace();
+  fields(io, *o);
 }
+
+/// Wire bytes of a default-constructed T: the least any element of a
+/// counted sequence can occupy, which bounds a decoded count.
+template <class T>
+std::size_t min_wire_bytes() {
+  static const std::size_t n = [] {
+    std::vector<std::uint8_t> buf;
+    writer w{buf, wire_version};
+    const T t{};
+    fields(w, t);
+    return buf.size();
+  }();
+  return n;
+}
+
+/// u32 element count, then the elements.
+template <class IO, class M>
+  requires instance_of<M, std::vector>
+void fields(IO& io, M& v) {
+  using T = typename std::remove_const_t<M>::value_type;
+  const std::size_t n = io.count(v.size(), min_wire_bytes<T>());
+  if constexpr (!std::is_const_v<M>) v.resize(n);
+  for (auto& e : v) fields(io, e);
+}
+
+template <class IO, class M>
+  requires instance_of<M, std::pair>
+void fields(IO& io, M& p) { fields(io, p.first, p.second); }
+
+template <class IO, maybe_const<dram::bulk_op> M>
+void fields(IO& io, M& op) {
+  io.byte(op);
+  io.require(op <= dram::bulk_op::xnor_op, "unknown bulk op");
+}
+
+template <class IO, maybe_const<dram::address> M>
+void fields(IO& io, M& a) {
+  fields(io, a.channel, a.rank, a.bank, a.row, a.column);
+}
+
+template <class IO, maybe_const<dram::bulk_vector> M>
+void fields(IO& io, M& v) { fields(io, v.size, v.rows); }
+
+template <class IO, maybe_const<service::shared_vector> M>
+void fields(IO& io, M& sv) { fields(io, sv.owner, sv.v); }
+
+template <class IO, maybe_const<runtime::task_report> M>
+void fields(IO& io, M& r) {
+  fields(io, r.id, r.stream);
+  io.byte(r.kind);
+  io.byte(r.where);
+  fields(io, r.submit_ps, r.start_ps, r.complete_ps, r.output_bytes,
+         r.channel, r.bank);
+  if (io.version >= 3) {
+    // v3: the live energy meter's per-task charge and moved-bytes
+    // ledger ride the report, so remote sessions fold the same energy
+    // attribution as in-process ones.
+    fields(io, r.energy_fj, r.insitu_bytes, r.offchip_bytes, r.wire_bytes);
+  }
+  if (io.version >= 4) {
+    // v4: wait-state attribution — the admit/release stamps that
+    // split the old queue wait into admission/hazard/bank segments,
+    // the release edge (blocking task + row) the critical-path
+    // analyzer walks, and the wire-hop execution flag.
+    fields(io, r.admit_ps, r.release_ps, r.blocked_on, r.blocked_row);
+    io.byte(r.wire_hop);
+  }
+}
+
+// --- message bodies ---------------------------------------------------------
+
+template <class IO, maybe_const<open_session_req> M>
+void fields(IO& io, M& m) { fields(io, m.weight); }
+
+template <class IO, maybe_const<close_session_req> M>
+void fields(IO& io, M& m) { fields(io, m.session); }
+
+template <class IO, maybe_const<allocate_req> M>
+void fields(IO& io, M& m) { fields(io, m.session, m.size, m.count); }
+
+template <class IO, maybe_const<write_req> M>
+void fields(IO& io, M& m) { fields(io, m.session, m.v, m.data); }
+
+template <class IO, maybe_const<read_req> M>
+void fields(IO& io, M& m) { fields(io, m.session, m.v); }
+
+template <class IO, maybe_const<submit_req> M>
+void fields(IO& io, M& m) { fields(io, m.session, m.op, m.a, m.b, m.d); }
+
+template <class IO, maybe_const<submit_shared_req> M>
+void fields(IO& io, M& m) { fields(io, m.issuer, m.op, m.a, m.b, m.d); }
+
+template <class IO, maybe_const<hello_req> M>
+void fields(IO& io, M& m) { fields(io, m.max_version); }
+
+template <class IO, maybe_const<trace_ctl_req> M>
+void fields(IO& io, M& m) {
+  fields(io, m.action);
+  io.require(m.action <= trace_ctl_req::clear, "unknown trace_ctl action");
+  fields(io, m.path);
+}
+
+template <class IO, maybe_const<watch_stats_req> M>
+void fields(IO& io, M& m) { fields(io, m.interval_ms, m.slow_threshold_ns); }
+
+template <class IO, maybe_const<opened_resp> M>
+void fields(IO& io, M& m) { fields(io, m.session, m.shard); }
+
+template <class IO, maybe_const<vectors_resp> M>
+void fields(IO& io, M& m) { fields(io, m.vectors); }
+
+template <class IO, maybe_const<data_resp> M>
+void fields(IO& io, M& m) { fields(io, m.data); }
+
+template <class IO, maybe_const<done_resp> M>
+void fields(IO& io, M& m) { fields(io, m.report); }
+
+template <class IO, class M>
+  requires maybe_const<M, stats_resp> || maybe_const<M, metrics_resp>
+void fields(IO& io, M& m) { fields(io, m.json); }
+
+template <class IO, maybe_const<error_resp> M>
+void fields(IO& io, M& m) { fields(io, m.message); }
+
+template <class IO, maybe_const<hello_resp> M>
+void fields(IO& io, M& m) { fields(io, m.version); }
+
+template <class IO, maybe_const<trace_ack_resp> M>
+void fields(IO& io, M& m) { fields(io, m.events, m.json); }
+
+template <class IO, maybe_const<stats_push_resp::hist_entry> M>
+void fields(IO& io, M& h) { fields(io, h.name, h.count, h.p50, h.p95, h.p99); }
+
+template <class IO, maybe_const<stats_push_resp> M>
+void fields(IO& io, M& m) {
+  fields(io, m.seq, m.last, m.counters, m.gauges, m.hists);
+}
+
+// --- opcode -> body decoder, from the message table -------------------------
+
+using body_decoder = void (*)(reader&, net_message&);
+
+template <std::size_t I>
+void decode_as(reader& in, net_message& msg) {
+  fields(in, msg.emplace<I>());
+}
+
+constexpr std::array<body_decoder, 256> body_decoders =
+    []<std::size_t... I>(std::index_sequence<I...>) {
+      std::array<body_decoder, 256> t{};
+      ((t[static_cast<std::uint8_t>(message_table[I].op)] = &decode_as<I>),
+       ...);
+      return t;
+    }(std::make_index_sequence<std::variant_size_v<net_message>>{});
 
 }  // namespace
-
-opcode opcode_of(const net_message& msg) {
-  // The variant's alternative order is the opcode order within each of
-  // the two ranges (requests from 1, responses from 64).
-  static constexpr opcode table[] = {
-      opcode::open_session, opcode::close_session, opcode::allocate,
-      opcode::write,        opcode::read,          opcode::submit,
-      opcode::submit_shared, opcode::wait,         opcode::stats,
-      opcode::hello,        opcode::get_metrics,   opcode::trace_ctl,
-      opcode::watch_stats,  opcode::opened,        opcode::closed,
-      opcode::vectors,      opcode::data,          opcode::done,
-      opcode::waited,       opcode::stats_report,  opcode::error,
-      opcode::hello_ack,    opcode::metrics_report, opcode::trace_ack,
-      opcode::stats_push};
-  static_assert(std::size(table) == std::variant_size_v<net_message>);
-  return table[msg.index()];
-}
 
 std::vector<std::uint8_t> encode_frame(std::uint64_t id,
                                        const net_message& msg,
                                        std::uint8_t version) {
-  std::vector<std::uint8_t> payload;
-  put_u8(payload, version);
-  put_u64(payload, id);
-  put_u8(payload, static_cast<std::uint8_t>(opcode_of(msg)));
-  encode_body(payload, msg, version);
-  if (payload.size() > max_frame_bytes) {
+  std::vector<std::uint8_t> out;
+  out.reserve(256);  // header + any small body in one allocation
+  writer w{out, version};
+  w.scalar(wire_magic);
+  w.scalar(std::uint32_t{0});  // length, patched below
+  w.scalar(version);
+  w.scalar(id);
+  w.byte(opcode_of(msg));
+  std::visit([&w](const auto& m) { fields(w, m); }, msg);
+  const std::size_t payload = out.size() - 8;
+  if (payload > max_frame_bytes) {
     throw protocol_error("frame exceeds max_frame_bytes");
   }
-
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + payload.size());
-  put_u32(out, wire_magic);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  store_le(out.data() + 4, static_cast<std::uint32_t>(payload));
   return out;
 }
 
@@ -526,9 +373,10 @@ std::optional<net_frame> frame_splitter::next() {
   if (avail < 8) return std::nullopt;
 
   reader head{buf_.data() + pos_, 8, 0};
-  const std::uint32_t magic = head.u32();
+  std::uint32_t magic = 0, length = 0;
+  head.scalar(magic);
   if (magic != wire_magic) throw protocol_error("bad magic");
-  const std::uint32_t length = head.u32();
+  head.scalar(length);
   if (length > max_frame_bytes) throw protocol_error("oversized frame");
   // Every payload carries at least version + id + opcode.
   if (length < 10) throw protocol_error("runt frame");
@@ -537,16 +385,18 @@ std::optional<net_frame> frame_splitter::next() {
   reader in{buf_.data() + pos_ + 8, length, 0};
   pos_ += 8 + length;
 
-  const std::uint8_t version = in.u8();
-  if (version < wire_version_min || version > wire_version) {
+  in.scalar(in.version);
+  if (in.version < wire_version_min || in.version > wire_version) {
     throw protocol_error("unsupported version");
   }
   net_frame frame;
-  frame.id = in.u64();
+  in.scalar(frame.id);
   last_id_ = frame.id;
-  const std::uint8_t raw_op = in.u8();
-  in.version = version;
-  frame.msg = decode_body(static_cast<opcode>(raw_op), in);
+  std::uint8_t op = 0;
+  in.scalar(op);
+  const body_decoder decode = body_decoders[op];
+  if (decode == nullptr) throw protocol_error("unknown opcode");
+  decode(in, frame.msg);
   if (in.pos != in.size) throw protocol_error("trailing bytes in frame");
   return frame;
 }

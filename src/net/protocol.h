@@ -19,11 +19,16 @@
 // request.
 //
 // The message set covers the full client_api surface (open/close
-// session, allocate, write, read, submit, submit_shared, wait, stats).
-// encode_frame/frame_splitter round-trip on plain byte buffers with no
-// socket involved — which is how the framing tests exercise every
-// message type and every malformed-input path (bad magic, oversized
-// length, truncated body, unknown opcode) deterministically.
+// session, allocate, write, read, submit, submit_shared, wait, stats)
+// plus version negotiation and the observability opcodes. It is
+// written down once, as the PIM_NET_MESSAGES table below; the opcode
+// enum, the net_message variant, opcode_of, the decoder's dispatch and
+// the verifier's V3xx schema are all generated from it, so there is no
+// second list to keep in step. encode_frame/frame_splitter round-trip
+// on plain byte buffers with no socket involved — which is how the
+// framing tests pin every message's bytes at every version, fuzz the
+// decoder, and exercise every malformed-input path (bad magic,
+// oversized length, truncated body, unknown opcode) deterministically.
 #ifndef PIM_NET_PROTOCOL_H
 #define PIM_NET_PROTOCOL_H
 
@@ -65,34 +70,57 @@ struct protocol_error : std::runtime_error {
       : std::runtime_error("protocol error: " + what) {}
 };
 
+// --- the message table -----------------------------------------------------
+//
+// The one description of the message set. One row per message, in
+// net_message alternative order: the body struct, its opcode name and
+// value, and the first protocol version it exists in; request rows also
+// name their success response (any request may instead be answered by
+// `error`). Version 2 added the hello negotiation; the observability
+// opcodes (get_metrics/trace_ctl/watch_stats and their responses)
+// shipped while version 2 was current, so 2 is the floor they exist at.
+// The floor is schema metadata: the decoder accepts every opcode at
+// every supported version.
+//
+// The table generates the opcode enum, net_message, opcode_of, the
+// decoder's opcode-to-type dispatch and the V3xx schema pim_lint checks
+// (verify::canonical_wire_schema). Each body's byte layout is its one
+// fields() function in protocol.cpp, which both the encoder and the
+// bounds-checked decoder run. Adding a message means one row here, one
+// fields() function and its server handler.
+#define PIM_NET_MESSAGES(REQ, RESP)                              \
+  /*  body struct        opcode          value since response */ \
+  REQ(open_session_req,  open_session,   1,  1, opened)         \
+  REQ(close_session_req, close_session,  2,  1, closed)         \
+  REQ(allocate_req,      allocate,       3,  1, vectors)        \
+  REQ(write_req,         write,          4,  1, done)           \
+  REQ(read_req,          read,           5,  1, data)           \
+  REQ(submit_req,        submit,         6,  1, done)           \
+  REQ(submit_shared_req, submit_shared,  7,  1, done)           \
+  REQ(wait_req,          wait,           8,  1, waited)         \
+  REQ(stats_req,         stats,          9,  1, stats_report)   \
+  REQ(hello_req,         hello,          10, 2, hello_ack)      \
+  REQ(get_metrics_req,   get_metrics,    11, 2, metrics_report) \
+  REQ(trace_ctl_req,     trace_ctl,      12, 2, trace_ack)      \
+  REQ(watch_stats_req,   watch_stats,    13, 2, stats_push)     \
+  RESP(opened_resp,      opened,         64, 1)                 \
+  RESP(closed_resp,      closed,         65, 1)                 \
+  RESP(vectors_resp,     vectors,        66, 1)                 \
+  RESP(data_resp,        data,           67, 1)                 \
+  RESP(done_resp,        done,           68, 1)                 \
+  RESP(waited_resp,      waited,         69, 1)                 \
+  RESP(stats_resp,       stats_report,   70, 1)                 \
+  RESP(error_resp,       error,          71, 1)                 \
+  RESP(hello_resp,       hello_ack,      72, 2)                 \
+  RESP(metrics_resp,     metrics_report, 73, 2)                 \
+  RESP(trace_ack_resp,   trace_ack,      74, 2)                 \
+  RESP(stats_push_resp,  stats_push,     75, 2)
+
+/// Tag byte of a frame: requests below 64, responses from 64.
 enum class opcode : std::uint8_t {
-  // Requests.
-  open_session = 1,
-  close_session = 2,
-  allocate = 3,
-  write = 4,
-  read = 5,
-  submit = 6,
-  submit_shared = 7,
-  wait = 8,
-  stats = 9,
-  hello = 10,
-  get_metrics = 11,
-  trace_ctl = 12,
-  watch_stats = 13,
-  // Responses.
-  opened = 64,
-  closed = 65,
-  vectors = 66,
-  data = 67,
-  done = 68,
-  waited = 69,
-  stats_report = 70,
-  error = 71,
-  hello_ack = 72,
-  metrics_report = 73,
-  trace_ack = 74,
-  stats_push = 75,
+#define PIM_NET_OPCODE(type, name, value, ...) name = value,
+  PIM_NET_MESSAGES(PIM_NET_OPCODE, PIM_NET_OPCODE)
+#undef PIM_NET_OPCODE
 };
 
 // --- request bodies --------------------------------------------------------
@@ -265,16 +293,53 @@ struct stats_push_resp {
   std::vector<hist_entry> hists;
 };
 
-using net_message =
-    std::variant<open_session_req, close_session_req, allocate_req, write_req,
-                 read_req, submit_req, submit_shared_req, wait_req, stats_req,
-                 hello_req, get_metrics_req, trace_ctl_req, watch_stats_req,
-                 opened_resp, closed_resp, vectors_resp, data_resp, done_resp,
-                 waited_resp, stats_resp, error_resp, hello_resp, metrics_resp,
-                 trace_ack_resp, stats_push_resp>;
+namespace detail {
+/// Drops the leading placeholder that absorbs the generated list's
+/// leading comma.
+template <class Placeholder, class... Bodies>
+struct message_variant {
+  using type = std::variant<Bodies...>;
+};
+}  // namespace detail
+
+/// Every body type, one alternative per table row, in table order.
+#define PIM_NET_BODY(type, ...) , type
+using net_message = detail::message_variant<
+    void PIM_NET_MESSAGES(PIM_NET_BODY, PIM_NET_BODY)>::type;
+#undef PIM_NET_BODY
+
+/// One table row as data, indexed like net_message's alternatives.
+struct message_info {
+  opcode op;
+  const char* name;    // the opcode's name
+  std::uint8_t since;  // first protocol version the message exists in
+  bool request;
+  opcode response;     // requests only: the success response
+};
+
+inline constexpr message_info message_table[] = {
+#define PIM_NET_REQ_ROW(type, name, value, since, resp) \
+  {opcode::name, #name, since, true, opcode::resp},
+#define PIM_NET_RESP_ROW(type, name, value, since) \
+  {opcode::name, #name, since, false, opcode{}},
+    PIM_NET_MESSAGES(PIM_NET_REQ_ROW, PIM_NET_RESP_ROW)
+#undef PIM_NET_REQ_ROW
+#undef PIM_NET_RESP_ROW
+};
 
 /// Opcode of a message (the tag byte its frame carries).
-opcode opcode_of(const net_message& msg);
+inline opcode opcode_of(const net_message& msg) {
+  return message_table[msg.index()].op;
+}
+
+/// Requests that run as shard tasks; their wire request id doubles as
+/// the trace flow id on both sides of the connection.
+inline bool is_task_request(const net_message& msg) {
+  return std::holds_alternative<write_req>(msg) ||
+         std::holds_alternative<read_req>(msg) ||
+         std::holds_alternative<submit_req>(msg) ||
+         std::holds_alternative<submit_shared_req>(msg);
+}
 
 /// One decoded frame.
 struct net_frame {

@@ -521,8 +521,7 @@ void pim_server::accept_loop(const int listen_fd) {
         // The wire request id doubles as the flow id for async
         // requests (both sides mint from obs::new_flow()); non-flow
         // requests just get a labeled span.
-        const bool flowing =
-            obs::on() && f.msg.index() >= 3 && f.msg.index() <= 6;
+        const bool flowing = obs::on() && is_task_request(f.msg);
         obs::span sp("dispatch", "net", flowing ? id : 0);
         if (flowing) obs::emit_flow_step(id, "request", "net");
         try {

@@ -16,54 +16,16 @@ constexpr std::uint8_t raw(net::opcode op) {
 }  // namespace
 
 wire_schema_info canonical_wire_schema() {
-  using net::opcode;
   wire_schema_info s;
   s.version_min = net::wire_version_min;
   s.version_max = net::wire_version;
-  s.error_opcode = raw(opcode::error);
-
-  const std::uint8_t v1 = 1;
-  // Version 2 added the hello negotiation; the observability opcodes
-  // (get_metrics/trace_ctl/watch_stats and their responses) shipped
-  // while version 2 was current, so 2 is the floor they exist at.
-  const std::uint8_t v2 = 2;
-  const std::uint8_t vmax = net::wire_version;
-
-  s.opcodes = {
-      // requests                                 response              versions
-      {raw(opcode::open_session), "open_session", true, raw(opcode::opened), v1, vmax},
-      {raw(opcode::close_session), "close_session", true, raw(opcode::closed), v1, vmax},
-      {raw(opcode::allocate), "allocate", true, raw(opcode::vectors), v1, vmax},
-      {raw(opcode::write), "write", true, raw(opcode::done), v1, vmax},
-      {raw(opcode::read), "read", true, raw(opcode::data), v1, vmax},
-      {raw(opcode::submit), "submit", true, raw(opcode::done), v1, vmax},
-      {raw(opcode::submit_shared), "submit_shared", true, raw(opcode::done), v1, vmax},
-      {raw(opcode::wait), "wait", true, raw(opcode::waited), v1, vmax},
-      {raw(opcode::stats), "stats", true, raw(opcode::stats_report), v1, vmax},
-      {raw(opcode::hello), "hello", true, raw(opcode::hello_ack), v2, vmax},
-      {raw(opcode::get_metrics), "get_metrics", true, raw(opcode::metrics_report), v2, vmax},
-      {raw(opcode::trace_ctl), "trace_ctl", true, raw(opcode::trace_ack), v2, vmax},
-      {raw(opcode::watch_stats), "watch_stats", true, raw(opcode::stats_push), v2, vmax},
-      // responses
-      {raw(opcode::opened), "opened", false, 0, v1, vmax},
-      {raw(opcode::closed), "closed", false, 0, v1, vmax},
-      {raw(opcode::vectors), "vectors", false, 0, v1, vmax},
-      {raw(opcode::data), "data", false, 0, v1, vmax},
-      {raw(opcode::done), "done", false, 0, v1, vmax},
-      {raw(opcode::waited), "waited", false, 0, v1, vmax},
-      {raw(opcode::stats_report), "stats_report", false, 0, v1, vmax},
-      {raw(opcode::error), "error", false, 0, v1, vmax},
-      {raw(opcode::hello_ack), "hello_ack", false, 0, v2, vmax},
-      {raw(opcode::metrics_report), "metrics_report", false, 0, v2, vmax},
-      {raw(opcode::trace_ack), "trace_ack", false, 0, v2, vmax},
-      {raw(opcode::stats_push), "stats_push", false, 0, v2, vmax},
-  };
-  // Closedness against the real protocol: one schema entry per
-  // net_message alternative. Adding a message type without extending
-  // this table fails the build here; pim_lint and the mutation tests
-  // take it from there.
-  static_assert(25 == std::variant_size_v<net::net_message>,
-                "net_message changed: extend canonical_wire_schema()");
+  s.error_opcode = raw(net::opcode::error);
+  // Every message is still spoken at the current version.
+  for (const net::message_info& m : net::message_table) {
+    s.opcodes.push_back({raw(m.op), m.name, m.request,
+                         m.request ? raw(m.response) : std::uint8_t{0},
+                         m.since, net::wire_version});
+  }
   return s;
 }
 

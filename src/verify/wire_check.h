@@ -1,15 +1,16 @@
 // Static checker for the wire opcode/response table (V3xx block).
 //
-// net/protocol.h defines the message grammar as C++ types; what no
-// type system enforces is that the *table* is closed and consistent:
-// every request opcode has a response arm, request and response
-// values stay in their ranges (below/above 64), no value is assigned
-// twice, and each opcode's version window fits inside the protocol's
-// [wire_version_min, wire_version] span. canonical_wire_schema()
-// mirrors the real protocol table (a static_assert pins its size to
-// the net_message variant, so adding an opcode without extending the
-// schema fails the build); check_wire_schema validates any schema —
-// the canonical one in CI, seeded-bad copies in the mutation tests.
+// net/protocol.h defines the message set once, as the PIM_NET_MESSAGES
+// table that also generates the opcode enum, the net_message variant
+// and the decoder's dispatch. What no type system enforces is that the
+// table is closed and consistent: every request opcode has a response
+// arm, request and response values stay in their ranges (below/above
+// 64), no value is assigned twice, and each opcode's version window
+// fits inside the protocol's [wire_version_min, wire_version] span.
+// canonical_wire_schema() is that table read back as data, so it cannot
+// drift from the protocol; check_wire_schema validates any schema —
+// the canonical one in CI and pim_lint, seeded-bad copies in the
+// mutation self-test.
 #ifndef PIM_VERIFY_WIRE_CHECK_H
 #define PIM_VERIFY_WIRE_CHECK_H
 
@@ -41,7 +42,7 @@ struct wire_schema_info {
   std::vector<opcode_info> opcodes;
 };
 
-/// The real protocol's table, built from net/protocol.h constants.
+/// The real protocol's schema, read from net::message_table.
 wire_schema_info canonical_wire_schema();
 
 /// V301 opcode-range, V302 duplicate-opcode, V303 missing-response-arm,

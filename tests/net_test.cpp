@@ -19,6 +19,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <random>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -526,6 +527,103 @@ TEST(protocol, golden_frames_decode_and_reencode_byte_identically) {
           << name << " v" << int(v);
     }
   }
+}
+
+TEST(protocol, rejects_bitvector_claim_larger_than_its_frame) {
+  // A 28-byte write body (session, empty row list, bit count) that
+  // claims 2^29 bits: the claim must be refused against the bytes left
+  // in the frame before any bitvector is sized from it.
+  write_req req;
+  req.session = 1;
+  std::vector<std::uint8_t> wire = encode_frame(4, req);
+  ASSERT_EQ(wire.size(), 8u + 10u + 28u);
+  const std::uint64_t claim = std::uint64_t{1} << 29;
+  std::memcpy(wire.data() + wire.size() - 8, &claim, 8);
+  frame_splitter splitter;
+  splitter.feed(wire.data(), wire.size());
+  try {
+    splitter.next();
+    ADD_FAILURE() << "decoded a bitvector claim larger than its frame";
+  } catch (const protocol_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bitvector larger than its frame"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(protocol, fuzzed_golden_frames_decode_or_reject_cleanly) {
+  // Seeded mutations of every golden frame at every version: bit flips,
+  // truncation, byte insertion, and edits of the length field and of
+  // u32 counts inside the body. Whatever the bytes, next() returns a
+  // frame, returns nullopt, or throws protocol_error — nothing else
+  // (the sanitizer builds catch anything worse).
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const auto& [name, msg] : golden_messages()) {
+    for (std::uint8_t v = wire_version_min; v <= wire_version; ++v) {
+      seeds.push_back(encode_frame(v, msg, v));
+    }
+  }
+  std::mt19937_64 gen(20191);
+  auto below = [&gen](std::size_t n) {
+    return static_cast<std::size_t>(gen() % n);
+  };
+  auto put_u32 = [](std::vector<std::uint8_t>& w, std::size_t at,
+                    std::uint32_t value) {
+    std::memcpy(w.data() + at, &value, 4);
+  };
+  int frames = 0, rejected = 0;
+  for (int iter = 0; iter < 50000; ++iter) {
+    std::vector<std::uint8_t> w = seeds[below(seeds.size())];
+    const int edits = 1 + static_cast<int>(below(3));
+    for (int e = 0; e < edits; ++e) {
+      switch (below(5)) {
+        case 0:  // bit flip
+          w[below(w.size())] ^= static_cast<std::uint8_t>(1u << below(8));
+          break;
+        case 1:  // truncation
+          w.resize(below(w.size() + 1));
+          break;
+        case 2:  // byte insertion
+          w.insert(w.begin() + static_cast<std::ptrdiff_t>(below(w.size() + 1)),
+                   static_cast<std::uint8_t>(gen()));
+          break;
+        case 3: {  // length field: off by a little, or anything
+          if (w.size() < 8) break;
+          std::uint32_t len = 0;
+          std::memcpy(&len, w.data() + 4, 4);
+          put_u32(w, 4,
+                  below(2) ? len + static_cast<std::uint32_t>(below(17)) - 8
+                           : static_cast<std::uint32_t>(gen()));
+          break;
+        }
+        default: {  // a u32 count or size inside the body
+          if (w.size() < 8 + 10 + 4) break;
+          static constexpr std::uint32_t counts[] = {
+              0, 1, 2, 0x7fffffff, 0xffffffff, max_frame_bytes};
+          put_u32(w, 8 + 10 + below(w.size() - 8 - 10 - 3),
+                  counts[below(std::size(counts))]);
+          break;
+        }
+      }
+      if (w.empty()) break;
+    }
+    frame_splitter splitter;
+    // Feed in one piece or two, so partial prefixes are exercised too.
+    const std::size_t cut = below(2) ? w.size() : below(w.size() + 1);
+    try {
+      splitter.feed(w.data(), cut);
+      while (splitter.next()) ++frames;
+      splitter.feed(w.data() + cut, w.size() - cut);
+      while (splitter.next()) ++frames;
+    } catch (const protocol_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << ": " << e.what();
+    }
+  }
+  // The mutations reach both outcomes.
+  EXPECT_GT(frames, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ---------------------------------------------------------------------------
