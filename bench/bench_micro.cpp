@@ -214,7 +214,8 @@ void bm_rmat_generation(benchmark::State& state) {
 BENCHMARK(bm_rmat_generation);
 
 // Row-buffer policy ablation: open vs closed rows under a streaming
-// access pattern (DESIGN.md decision #1).
+// access pattern. The controllers default to open rows; this measures
+// what that default buys on a stream that keeps hitting the open row.
 void bm_row_policy(benchmark::State& state) {
   const auto policy = state.range(0) == 0 ? dram::row_policy::open
                                           : dram::row_policy::closed;

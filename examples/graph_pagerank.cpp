@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
               << pr.ranks()[order[static_cast<std::size_t>(i)]] << "\n";
   }
 
-  // Conventional baseline (LLC scaled with the graph; see DESIGN.md).
+  // Conventional baseline. Its LLC is scaled down with the graph so the
+  // vertex state still overflows it, as at the paper's full size.
   cpu::system_config base_cfg = tesseract::conventional_graph_system();
   base_cfg.llc = cpu::cache_config{"LLC", 1 * mib, 16, 64};
   graph::pagerank pr2(10);

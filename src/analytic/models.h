@@ -65,7 +65,8 @@ struct ambit_device {
   double energy_pj_per_byte(dram::bulk_op op) const;
 };
 
-// --- presets (parameters documented in DESIGN.md / EXPERIMENTS.md) ---
+// --- presets: the comparison points of the paper's Ambit results ---
+// (PAPER.md); each preset's comment states its parameters.
 
 /// Skylake-class desktop CPU: dual-channel DDR4-2133 (34.1 GB/s peak),
 /// ~80% streaming efficiency, write-allocate caches.

@@ -8,7 +8,7 @@
 // IDD-derived activation/precharge energies, Horowitz ISSCC'14 logic and
 // cache energies, published off-chip vs. TSV I/O pJ/bit). Reproduction
 // targets the *ratios* between configurations, which are robust to the
-// absolute calibration; EXPERIMENTS.md discusses sensitivity.
+// absolute calibration.
 #ifndef PIM_COMMON_ENERGY_CONSTANTS_H
 #define PIM_COMMON_ENERGY_CONSTANTS_H
 

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/digest.h"
@@ -30,7 +31,7 @@ bool send_all(int fd, const std::vector<std::uint8_t>& buf) {
 }  // namespace
 
 remote_client::remote_client(const std::string& host, std::uint16_t port,
-                             double weight) {
+                             double weight, std::uint8_t max_version) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) throw std::runtime_error("remote_client: socket() failed");
   sockaddr_in addr{};
@@ -56,7 +57,7 @@ remote_client::remote_client(const std::string& host, std::uint16_t port,
   // both synchronously. On failure the destructor will not run, so
   // tear the half-built connection down here.
   try {
-    negotiate(weight);
+    negotiate(weight, max_version);
   } catch (...) {
     shutdown_threads();
     ::close(fd_);
@@ -65,17 +66,18 @@ remote_client::remote_client(const std::string& host, std::uint16_t port,
   }
 }
 
-void remote_client::negotiate(double weight) {
+void remote_client::negotiate(double weight, std::uint8_t max_version) {
   {
     // The hello goes out at the floor version: a server that cannot
     // parse our preferred framing can still read the offer and answer.
+    max_version = std::min(max_version, wire_version);
     auto reply = std::make_shared<net_message>();
-    send_request(hello_req{wire_version}, reply, wire_version_min).get();
+    send_request(hello_req{max_version}, reply, wire_version_min).get();
     const auto* hello = std::get_if<hello_resp>(reply.get());
     if (hello == nullptr) {
       throw std::runtime_error("remote_client: unexpected hello response");
     }
-    if (hello->version < wire_version_min || hello->version > wire_version) {
+    if (hello->version < wire_version_min || hello->version > max_version) {
       throw std::runtime_error(
           "remote_client: server negotiated unsupported version " +
           std::to_string(hello->version));
@@ -256,6 +258,9 @@ void remote_client::reader_loop() {
             result.data = std::move(data->data);
           } else if (const auto* done = std::get_if<done_resp>(&f->msg)) {
             result.report = done->report;
+          } else if (auto* prog = std::get_if<program_done_resp>(&f->msg)) {
+            result.reports = std::move(prog->reports);
+            result.outputs = std::move(prog->outputs);
           }
           complete(*entry.state, std::move(result));
         }
@@ -304,6 +309,24 @@ service::request_future remote_client::submit_bulk(dram::bulk_op op,
   req.a = a;
   if (b != nullptr) req.b = *b;
   req.d = d;
+  service::request_future f = send_request(req, nullptr);
+  futures_.push_back(f);
+  return f;
+}
+
+service::request_future remote_client::submit_program(
+    std::vector<service::bulk_step> steps,
+    std::vector<dram::bulk_vector> outputs) {
+  if (version_ < since_version(opcode::submit_program)) {
+    return client_api::submit_program(std::move(steps), std::move(outputs));
+  }
+  // Validate here too, so a malformed program throws at the call as it
+  // does in process instead of coming back as a failed future.
+  service::program_capture_steps(steps, outputs);
+  submit_program_req req;
+  req.session = session_;
+  req.steps = std::move(steps);
+  req.outputs = std::move(outputs);
   service::request_future f = send_request(req, nullptr);
   futures_.push_back(f);
   return f;

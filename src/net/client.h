@@ -39,9 +39,11 @@ namespace pim::net {
 class remote_client final : public service::client_api {
  public:
   /// Connects and opens a session of the given fair-share weight;
-  /// throws on connection or handshake failure.
+  /// throws on connection or handshake failure. `max_version` caps the
+  /// protocol version offered in the hello (a client pinned to an
+  /// older version, e.g. to exercise compatibility paths).
   remote_client(const std::string& host, std::uint16_t port,
-                double weight = 1.0);
+                double weight = 1.0, std::uint8_t max_version = wire_version);
   ~remote_client() override;
 
   remote_client(const remote_client&) = delete;
@@ -58,6 +60,11 @@ class remote_client final : public service::client_api {
                                       const dram::bulk_vector& a,
                                       const dram::bulk_vector* b,
                                       const dram::bulk_vector& d) override;
+  /// One submit_program frame at protocol version 5 and above; below
+  /// it, the base implementation's one submit per step.
+  service::request_future submit_program(
+      std::vector<service::bulk_step> steps,
+      std::vector<dram::bulk_vector> outputs) override;
   service::request_future submit_shared(dram::bulk_op op,
                                         const service::shared_vector& a,
                                         const service::shared_vector* b,
@@ -126,7 +133,7 @@ class remote_client final : public service::client_api {
   service::request_future send_request(const net_message& msg,
                                        std::shared_ptr<net_message> reply,
                                        std::uint8_t version = 0);
-  void negotiate(double weight);
+  void negotiate(double weight, std::uint8_t max_version);
   std::uint64_t trace_ctl(std::uint8_t action, const std::string& path,
                           std::string* json);
   void reader_loop();

@@ -182,18 +182,26 @@ void fields(IO& io, M& o) {
   fields(io, *o);
 }
 
-/// Wire bytes of a default-constructed T: the least any element of a
-/// counted sequence can occupy, which bounds a decoded count.
+/// Wire bytes of a default-constructed T at `version`: the least any
+/// element of a counted sequence can occupy, which bounds a decoded
+/// count. Per version, because version-gated tails (task reports)
+/// change the size.
 template <class T>
-std::size_t min_wire_bytes() {
-  static const std::size_t n = [] {
-    std::vector<std::uint8_t> buf;
-    writer w{buf, wire_version};
-    const T t{};
-    fields(w, t);
-    return buf.size();
+std::size_t min_wire_bytes(std::uint8_t version) {
+  static const auto sizes = [] {
+    std::array<std::size_t, wire_version + 1> n{};
+    for (std::uint8_t v = wire_version_min; v <= wire_version; ++v) {
+      std::vector<std::uint8_t> buf;
+      writer w{buf, v};
+      const T t{};
+      fields(w, t);
+      n[v] = buf.size();
+    }
+    return n;
   }();
-  return n;
+  // The writer may stamp versions outside the window (tests framing
+  // what the splitter must reject); it never uses the bound.
+  return sizes[std::min(version, wire_version)];
 }
 
 /// u32 element count, then the elements.
@@ -201,7 +209,7 @@ template <class IO, class M>
   requires instance_of<M, std::vector>
 void fields(IO& io, M& v) {
   using T = typename std::remove_const_t<M>::value_type;
-  const std::size_t n = io.count(v.size(), min_wire_bytes<T>());
+  const std::size_t n = io.count(v.size(), min_wire_bytes<T>(io.version));
   if constexpr (!std::is_const_v<M>) v.resize(n);
   for (auto& e : v) fields(io, e);
 }
@@ -273,6 +281,12 @@ void fields(IO& io, M& m) { fields(io, m.session, m.op, m.a, m.b, m.d); }
 template <class IO, maybe_const<submit_shared_req> M>
 void fields(IO& io, M& m) { fields(io, m.issuer, m.op, m.a, m.b, m.d); }
 
+template <class IO, maybe_const<service::bulk_step> M>
+void fields(IO& io, M& s) { fields(io, s.op, s.a, s.b, s.d); }
+
+template <class IO, maybe_const<submit_program_req> M>
+void fields(IO& io, M& m) { fields(io, m.session, m.steps, m.outputs); }
+
 template <class IO, maybe_const<hello_req> M>
 void fields(IO& io, M& m) { fields(io, m.max_version); }
 
@@ -297,6 +311,9 @@ void fields(IO& io, M& m) { fields(io, m.data); }
 
 template <class IO, maybe_const<done_resp> M>
 void fields(IO& io, M& m) { fields(io, m.report); }
+
+template <class IO, maybe_const<program_done_resp> M>
+void fields(IO& io, M& m) { fields(io, m.reports, m.outputs); }
 
 template <class IO, class M>
   requires maybe_const<M, stats_resp> || maybe_const<M, metrics_resp>

@@ -19,7 +19,8 @@
 // request.
 //
 // The message set covers the full client_api surface (open/close
-// session, allocate, write, read, submit, submit_shared, wait, stats)
+// session, allocate, write, read, submit, submit_shared,
+// submit_program, wait, stats)
 // plus version negotiation and the observability opcodes. It is
 // written down once, as the PIM_NET_MESSAGES table below; the opcode
 // enum, the net_message variant, opcode_of, the decoder's dispatch and
@@ -52,8 +53,12 @@ inline constexpr std::uint32_t wire_magic = 0x50494D31;  // "1MIP" on the wire
 /// blocking task/row release edge, the wire-hop flag) the critical-
 /// path analyzer consumes. Encoders omit each tail at negotiated
 /// versions below its floor, so older peers see the exact old grammar
-/// and simply report zeros.
-inline constexpr std::uint8_t wire_version = 4;
+/// and simply report zeros. Version 5 adds the submit_program /
+/// program_done pair: a whole step program as one request, answered
+/// by one frame carrying every step's report and the output bits.
+/// Peers below 5 never see them (remote_client falls back to one
+/// submit per step).
+inline constexpr std::uint8_t wire_version = 5;
 /// Oldest version still parseable. A peer whose highest version is
 /// below this floor is a major-version mismatch: the server answers a
 /// clean error frame and closes.
@@ -103,6 +108,7 @@ struct protocol_error : std::runtime_error {
   REQ(get_metrics_req,   get_metrics,    11, 2, metrics_report) \
   REQ(trace_ctl_req,     trace_ctl,      12, 2, trace_ack)      \
   REQ(watch_stats_req,   watch_stats,    13, 2, stats_push)     \
+  REQ(submit_program_req, submit_program, 14, 5, program_done)  \
   RESP(opened_resp,      opened,         64, 1)                 \
   RESP(closed_resp,      closed,         65, 1)                 \
   RESP(vectors_resp,     vectors,        66, 1)                 \
@@ -114,7 +120,8 @@ struct protocol_error : std::runtime_error {
   RESP(hello_resp,       hello_ack,      72, 2)                 \
   RESP(metrics_resp,     metrics_report, 73, 2)                 \
   RESP(trace_ack_resp,   trace_ack,      74, 2)                 \
-  RESP(stats_push_resp,  stats_push,     75, 2)
+  RESP(stats_push_resp,  stats_push,     75, 2)                 \
+  RESP(program_done_resp, program_done,  76, 5)
 
 /// Tag byte of a frame: requests below 64, responses from 64.
 enum class opcode : std::uint8_t {
@@ -169,6 +176,15 @@ struct submit_shared_req {
   service::shared_vector a;
   std::optional<service::shared_vector> b;
   service::shared_vector d;
+};
+
+/// A whole program of bulk ops over the session's vectors
+/// (client_api::submit_program): the steps in program order, then the
+/// vectors whose bits the answer carries.
+struct submit_program_req {
+  service::session_id session = 0;
+  std::vector<service::bulk_step> steps;
+  std::vector<dram::bulk_vector> outputs;
 };
 
 /// Barrier: the response is sent once every request this connection
@@ -293,6 +309,13 @@ struct stats_push_resp {
   std::vector<hist_entry> hists;
 };
 
+/// Completion of a submit_program: every step's task report, in step
+/// order, and each requested output's bits, in request order.
+struct program_done_resp {
+  std::vector<runtime::task_report> reports;
+  std::vector<bitvector> outputs;
+};
+
 namespace detail {
 /// Drops the leading placeholder that absorbs the generated list's
 /// leading comma.
@@ -332,13 +355,22 @@ inline opcode opcode_of(const net_message& msg) {
   return message_table[msg.index()].op;
 }
 
+/// First protocol version `op` exists in.
+constexpr std::uint8_t since_version(opcode op) {
+  for (const message_info& m : message_table) {
+    if (m.op == op) return m.since;
+  }
+  return 0;
+}
+
 /// Requests that run as shard tasks; their wire request id doubles as
 /// the trace flow id on both sides of the connection.
 inline bool is_task_request(const net_message& msg) {
   return std::holds_alternative<write_req>(msg) ||
          std::holds_alternative<read_req>(msg) ||
          std::holds_alternative<submit_req>(msg) ||
-         std::holds_alternative<submit_shared_req>(msg);
+         std::holds_alternative<submit_shared_req>(msg) ||
+         std::holds_alternative<submit_program_req>(msg);
 }
 
 /// One decoded frame.

@@ -225,6 +225,9 @@ net_message build_response(connection_demux::pending& p) {
       return vectors_resp{std::move(p.state->result.vectors)};
     case opcode::data:
       return data_resp{std::move(p.state->result.data)};
+    case opcode::program_done:
+      return program_done_resp{std::move(p.state->result.reports),
+                               std::move(p.state->result.outputs)};
     default:
       return done_resp{p.state->result.report};
   }
@@ -476,7 +479,7 @@ void pim_server::accept_loop(const int listen_fd) {
       auto dx = c->dx;
 
       // Dispatch helpers. Asynchronous requests (write/read/submit/
-      // submit_shared) register their completion state under the
+      // submit_program/submit_shared) register their completion state under the
       // request id BEFORE submitting: the completion hook may fire on
       // the shard worker before the submitting call even returns.
       auto submit_async =
@@ -568,6 +571,16 @@ void pim_server::accept_loop(const int listen_fd) {
                     r.completion = std::move(state);
                     r.payload = service::run_task_args{runtime::make_bulk_task(
                         m.op, m.a, m.b ? &*m.b : nullptr, m.d)};
+                    svc_.submit(std::move(r));
+                  });
+                } else if constexpr (std::is_same_v<T, submit_program_req>) {
+                  require_session(m.session);
+                  submit_async(id, opcode::program_done, [&](auto state) {
+                    service::request r;
+                    r.session = m.session;
+                    r.completion = std::move(state);
+                    r.payload = service::make_program(std::move(m.steps),
+                                                      std::move(m.outputs));
                     svc_.submit(std::move(r));
                   });
                 } else if constexpr (std::is_same_v<T, submit_shared_req>) {

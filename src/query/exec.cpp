@@ -1,9 +1,8 @@
 #include "query/exec.h"
 
-#include <latch>
+#include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -12,12 +11,33 @@ namespace pim::query {
 
 namespace {
 
-struct partition_outcome {
-  bitvector selection;
-  std::vector<std::size_t> sum_pops;  // popcount per sum register
-  std::uint64_t ops = 0;
-  std::vector<obs::sim_op_sample> samples;  // collect_samples only
-};
+/// The profiler sample of one executed step: op = plan-step index,
+/// sub = partition, group = the partition's home shard.
+obs::sim_op_sample sample_of(const runtime::task_report& r, int group,
+                             int step, int partition) {
+  obs::sim_op_sample sample;
+  sample.group = group;
+  sample.id = r.id;
+  sample.op = step;
+  sample.sub = partition;
+  sample.backend = static_cast<int>(r.where);
+  sample.channel = r.channel;
+  sample.bank = r.bank;
+  sample.output_bytes = r.output_bytes;
+  sample.admit_ps = r.admit_ps;
+  sample.submit_ps = r.submit_ps;
+  sample.release_ps = r.release_ps;
+  sample.start_ps = r.start_ps;
+  sample.complete_ps = r.complete_ps;
+  sample.blocked_on = r.blocked_on;
+  sample.blocked_row = r.blocked_row;
+  sample.wire_hop = r.wire_hop;
+  sample.energy_fj = r.energy_fj;
+  sample.insitu_bytes = r.insitu_bytes;
+  sample.offchip_bytes = r.offchip_bytes;
+  sample.wire_bytes = r.wire_bytes;
+  return sample;
+}
 
 }  // namespace
 
@@ -96,111 +116,75 @@ query_result execute(pim_table& table, const query_plan& plan,
     (void)table.slice(0, in.column, in.bit);
   }
 
-  // One thread per partition: submit the whole step storm pipelined,
-  // then read back the selection and aggregate masks. Each thread
-  // drives only its own session.
-  std::vector<partition_outcome> outcomes(
-      static_cast<std::size_t>(table.partitions()));
-  std::vector<std::exception_ptr> errors(outcomes.size());
-  std::vector<std::thread> workers;
-  const bool collect = opts.collect_samples;
-  // Simulated admission follows host arrival time, so partitions start
-  // submitting together: a partition whose thread spawned first would
-  // otherwise run its shard's clock ahead of the others.
-  std::latch start(table.partitions());
-  for (int p = 0; p < table.partitions(); ++p) {
-    workers.emplace_back([&table, &plan, &outcomes, &errors, &start, collect,
-                          p] {
-      start.arrive_and_wait();
-      try {
-        if (obs::on()) {
-          obs::tracer::instance().name_thread(
-              "pim-query", "partition " + std::to_string(p));
-        }
-        obs::span part_span("partition", "query");
-        service::client_api& client = table.session(p);
-        auto reg = [&](int r) -> const dram::bulk_vector& {
-          return executor::reg_of(table, plan, p, r);
-        };
-        partition_outcome& out = outcomes[static_cast<std::size_t>(p)];
-        std::vector<service::request_future> step_futures;
-        if (collect) step_futures.reserve(plan.steps.size());
-        {
-          obs::span steps_span("submit_steps", "query");
-          for (const plan_step& step : plan.steps) {
-            service::request_future f =
-                client.submit_bulk(step.op, reg(step.a),
-                                   step.b < 0 ? nullptr : &reg(step.b),
-                                   reg(step.d));
-            if (collect) step_futures.push_back(std::move(f));
-            ++out.ops;
-          }
-        }
-        {
-          obs::span wait_span("wait_all", "query");
-          client.wait_all();
-        }
-        if (collect) {
-          // Everything completed above; get() is a non-blocking read
-          // of each step's report now. The report's sim timestamps
-          // and (channel, bank) lane crossed the wire for remote
-          // sessions, so the samples are transport-independent.
-          const int group = client.shard_index();
-          out.samples.reserve(step_futures.size());
-          for (std::size_t s = 0; s < step_futures.size(); ++s) {
-            const runtime::task_report& r = step_futures[s].get().report;
-            obs::sim_op_sample sample;
-            sample.group = group;
-            sample.id = r.id;
-            sample.op = static_cast<int>(s);
-            sample.sub = p;
-            sample.backend = static_cast<int>(r.where);
-            sample.channel = r.channel;
-            sample.bank = r.bank;
-            sample.output_bytes = r.output_bytes;
-            sample.admit_ps = r.admit_ps;
-            sample.submit_ps = r.submit_ps;
-            sample.release_ps = r.release_ps;
-            sample.start_ps = r.start_ps;
-            sample.complete_ps = r.complete_ps;
-            sample.blocked_on = r.blocked_on;
-            sample.blocked_row = r.blocked_row;
-            sample.wire_hop = r.wire_hop;
-            sample.energy_fj = r.energy_fj;
-            sample.insitu_bytes = r.insitu_bytes;
-            sample.offchip_bytes = r.offchip_bytes;
-            sample.wire_bytes = r.wire_bytes;
-            out.samples.push_back(sample);
-          }
-        }
-        obs::span read_span("read_back", "query");
-        out.selection = client.read(reg(plan.selection));
-        for (const int r : plan.sum_regs) {
-          out.sum_pops.push_back(client.read(reg(r)).popcount());
-        }
-      } catch (...) {
-        errors[static_cast<std::size_t>(p)] = std::current_exception();
+  // One program per partition, pushed down from this thread: each
+  // partition's session gets the whole lowered step list as a single
+  // request, so all partitions' shards run their programs at once.
+  // The outputs (selection, then the sum masks) come back captured in
+  // the program's result — no read-back round trip.
+  const auto parts = static_cast<std::size_t>(table.partitions());
+  std::vector<service::request_future> futures(parts);
+  std::exception_ptr first_error;
+  {
+    obs::span submit_span("submit_programs", "query");
+    for (int p = 0; p < table.partitions(); ++p) {
+      auto reg = [&](int r) -> const dram::bulk_vector& {
+        return executor::reg_of(table, plan, p, r);
+      };
+      std::vector<service::bulk_step> steps(plan.steps.size());
+      for (std::size_t s = 0; s < plan.steps.size(); ++s) {
+        const plan_step& step = plan.steps[s];
+        steps[s].op = step.op;
+        steps[s].a = reg(step.a);
+        if (step.b >= 0) steps[s].b = reg(step.b);
+        steps[s].d = reg(step.d);
       }
-    });
+      std::vector<dram::bulk_vector> outputs{reg(plan.selection)};
+      for (const int r : plan.sum_regs) outputs.push_back(reg(r));
+      try {
+        futures[static_cast<std::size_t>(p)] =
+            table.session(p).submit_program(std::move(steps),
+                                            std::move(outputs));
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
   }
-  for (std::thread& t : workers) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
+  {
+    // wait_all also retires each client's future bookkeeping. Every
+    // partition is waited out before the first failure surfaces.
+    obs::span wait_span("wait_all", "query");
+    for (int p = 0; p < table.partitions(); ++p) {
+      try {
+        table.session(p).wait_all();
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
   }
+  if (first_error) std::rethrow_exception(first_error);
 
   query_result result;
   result.rows = table.rows();
   result.selection.resize(table.rows());
   for (int p = 0; p < table.partitions(); ++p) {
-    const partition_outcome& out = outcomes[static_cast<std::size_t>(p)];
-    result.selection.copy_bits(table.partition_base(p), out.selection, 0,
-                               out.selection.size());
-    result.ops_submitted += out.ops;
-    result.samples.insert(result.samples.end(), out.samples.begin(),
-                          out.samples.end());
-    if (plan.agg == agg_kind::sum) {
-      for (std::size_t b = 0; b < out.sum_pops.size(); ++b) {
-        result.sum += static_cast<std::uint64_t>(out.sum_pops[b]) << b;
+    const service::request_result& done =
+        futures[static_cast<std::size_t>(p)].get();
+    const bitvector& selection = done.outputs.at(0);
+    result.selection.copy_bits(table.partition_base(p), selection, 0,
+                               selection.size());
+    result.ops_submitted += done.reports.size();
+    for (std::size_t b = 0; b < plan.sum_regs.size(); ++b) {
+      result.sum +=
+          static_cast<std::uint64_t>(done.outputs.at(b + 1).popcount()) << b;
+    }
+    if (opts.collect_samples) {
+      // The reports' sim timestamps and (channel, bank) lane crossed
+      // the wire for remote sessions, so the samples are
+      // transport-independent.
+      const int group = table.session(p).shard_index();
+      for (std::size_t s = 0; s < done.reports.size(); ++s) {
+        result.samples.push_back(
+            sample_of(done.reports[s], group, static_cast<int>(s), p));
       }
     }
   }

@@ -1,14 +1,15 @@
 // Query executor: runs a lowered plan on a pim_table, all partitions
 // concurrently.
 //
-// One executor thread per partition maps the plan's registers onto the
-// partition's slice/scratch vectors and submits every step as an
-// asynchronous bulk op through the partition's session — the whole
-// storm is pipelined, so a query saturates every shard's banks at
-// once while the runtime's hazard graph keeps program order where
-// rows actually conflict. Selections and aggregate masks are then
-// read back and reduced on the host (popcount), exactly the paper's
-// split: bulk bitwise work in DRAM, the final tally over the channel.
+// The calling thread maps the plan's registers onto each partition's
+// slice/scratch vectors and pushes the partition's whole step list
+// down as one program (client_api::submit_program) — one request per
+// partition, so a query saturates every shard's banks at once while
+// the runtime's hazard graph keeps program order where rows actually
+// conflict. Each program's result carries the selection and aggregate
+// masks, captured on the shard as their last step completes; the host
+// reduces them (popcount), exactly the paper's split: bulk bitwise
+// work in DRAM, the final tally over the channel.
 //
 // The optional combine step gathers every partition's selection into
 // result slots owned by a single collector session via submit_shared:
@@ -58,12 +59,12 @@ struct exec_options {
   /// Non-null: OR-reduce per-partition selections into the gatherer's
   /// collector slots via submit_shared after the scan completes.
   selection_gatherer* gather = nullptr;
-  /// Keep every step's task report and fold it into
-  /// query_result::samples (one profiler sample per submitted step,
-  /// op = plan-step index, sub = partition, group = the partition's
-  /// home shard). This is explain_analyze's data feed; the reports
-  /// ride the normal completion path, so it works identically over
-  /// in-process and remote transports.
+  /// Fold every step's task report into query_result::samples (one
+  /// profiler sample per executed step, op = plan-step index, sub =
+  /// partition, group = the partition's home shard). This is
+  /// explain_analyze's data feed; the reports come back in each
+  /// program's result, so it works identically over in-process and
+  /// remote transports.
   bool collect_samples = false;
 };
 
@@ -78,16 +79,18 @@ struct query_result {
   std::uint64_t digest = 0;
   /// Collector-side digest of the gathered slots (gather only).
   std::uint64_t gathered_digest = 0;
-  /// Bulk ops submitted across all partitions.
+  /// Bulk ops executed across all partitions (plan steps times
+  /// partitions).
   std::uint64_t ops_submitted = 0;
   /// Per-step profiler samples (collect_samples only), ordered by
   /// (partition, step) — the input to obs::fold_samples.
   std::vector<obs::sim_op_sample> samples;
 };
 
-/// Executes `plan` over `table`. Throws when the plan needs more
-/// scratch vectors than the table allocated, or on any partition
-/// failure (first error rethrown after all partition threads join).
+/// Executes `plan` over `table`, one program per partition. Throws
+/// when the plan needs more scratch vectors than the table allocated,
+/// or on any partition failure (first error rethrown after every
+/// partition's program has been waited out).
 query_result execute(pim_table& table, const query_plan& plan,
                      const exec_options& opts = {});
 

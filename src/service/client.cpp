@@ -50,6 +50,14 @@ request_future service_client::submit_bulk(dram::bulk_op op,
   return submit(runtime::make_bulk_task(op, a, b, d));
 }
 
+request_future service_client::submit_program(
+    std::vector<bulk_step> steps, std::vector<dram::bulk_vector> outputs) {
+  request_future f = svc_->submit(
+      make_request(make_program(std::move(steps), std::move(outputs))));
+  pending_.push_back(f);
+  return f;
+}
+
 std::optional<request_future> service_client::try_submit(
     runtime::pim_task task) {
   run_task_args args;

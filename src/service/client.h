@@ -52,6 +52,13 @@ class service_client final : public client_api {
                              const dram::bulk_vector* b,
                              const dram::bulk_vector& d) override;
 
+  /// Routes the whole program once; the shard admits every step into
+  /// the session's queue in one lock hold and resolves the one future
+  /// when the last step completes. Blocks only under backpressure.
+  request_future submit_program(
+      std::vector<bulk_step> steps,
+      std::vector<dram::bulk_vector> outputs) override;
+
   /// Non-blocking variant: nullopt when the queue is full right now.
   std::optional<request_future> try_submit(runtime::pim_task task);
 

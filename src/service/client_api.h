@@ -13,7 +13,8 @@
 // Semantics every implementation honors:
 //  - one client = one session = one runtime stream;
 //  - allocate/write/read block; submit_* returns a request_future that
-//    completes out of order as the shard's simulated clock advances;
+//    completes out of order as the shard's simulated clock advances
+//    (submit_program's base implementation excepted: it blocks);
 //  - a client instance is driven by a single thread (many clients on
 //    many threads is the supported concurrency model);
 //  - digest() waits out pending work and hashes every vector the
@@ -59,6 +60,21 @@ class client_api {
                                        const shared_vector& a,
                                        const shared_vector* b,
                                        const shared_vector& d) = 0;
+
+  /// Pushes a whole program of bulk ops down as one request: the
+  /// steps run in program order (the row-hazard graph orders the ones
+  /// that conflict), and the one future resolves with every step's
+  /// task report, in step order, plus the bits of each `outputs`
+  /// vector as the program left them. Each output must be an operand
+  /// of some step; an empty program or an untouched output throws
+  /// std::invalid_argument. The first failing step fails the future.
+  ///
+  /// This base implementation sends the steps one by one through
+  /// submit_bulk, waits for them, reads the outputs and returns a
+  /// resolved future — it blocks. The transports override it with a
+  /// single request the shard expands itself.
+  virtual request_future submit_program(std::vector<bulk_step> steps,
+                                        std::vector<dram::bulk_vector> outputs);
 
   /// Blocks until every future this client received has completed;
   /// rethrows the first failure.

@@ -18,6 +18,7 @@
 #ifndef PIM_SERVICE_REQUEST_H
 #define PIM_SERVICE_REQUEST_H
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -73,8 +74,29 @@ struct read_args {
   std::uint64_t token = 0;
 };
 
+struct program_run;
+
 struct run_task_args {
   runtime::pim_task task;
+  /// Set when this task is one step of a pushed-down program: the
+  /// program's completion fan-in, and this step's index in it.
+  std::shared_ptr<program_run> program{};
+  std::size_t step = 0;
+};
+
+/// One step of a pushed-down program: d = op(a[, b]) over the
+/// session's own vectors.
+using bulk_step = runtime::bulk_bool_args;
+
+/// A whole step program admitted as one request
+/// (client_api::submit_program). The shard expands it into one
+/// run_task request per step at admission, under one lock hold, so
+/// the steps queue back to back in the session's FIFO exactly as
+/// back-to-back submits would; they share the program's completion
+/// state and its fan-in. Built by make_program.
+struct program_args {
+  std::vector<bulk_step> steps;
+  std::shared_ptr<program_run> run;
 };
 
 /// One operand of a cross-shard plan: the owning session, the virtual
@@ -159,7 +181,7 @@ struct forget_args {
 using request_payload =
     std::variant<allocate_args, write_args, read_args, run_task_args,
                  stage_run_args, stage_in_args, install_args, forget_args,
-                 reserve_args, clear_args>;
+                 reserve_args, clear_args, program_args>;
 
 /// What a completed request hands back; which field is meaningful
 /// depends on the request kind.
@@ -167,7 +189,43 @@ struct request_result {
   std::vector<dram::bulk_vector> vectors;  // allocate
   bitvector data;                          // read
   runtime::task_report report;             // run_task / stage_run
+  /// Program: every step's report, in step order, and the bits of
+  /// each output vector, in output order.
+  std::vector<runtime::task_report> reports;
+  std::vector<bitvector> outputs;
 };
+
+/// Completion fan-in of one program. Each step's completion records
+/// its report; the completion of the last step touching an output
+/// captures that output's bits (no later request can have written it
+/// yet: the row-hazard graph orders any later writer behind that
+/// step), and the completion that brings `remaining` to zero resolves
+/// the program. A failing step resolves it instead, exactly once
+/// (`failed`), and the program's later steps are dropped unexecuted.
+/// Steps complete on two shard workers when the session migrates
+/// mid-program, hence the atomics; each worker writes only its own
+/// steps' slots of `result`, and the acq_rel countdown publishes them
+/// to the resolving one.
+struct program_run {
+  std::vector<dram::bulk_vector> outputs;  // virtual handles
+  /// Per output: the index of the last step that touches it.
+  std::vector<std::size_t> capture_step;
+  request_result result;
+  std::atomic<std::size_t> remaining{0};
+  std::atomic<bool> failed{false};
+};
+
+/// Per output, the index of the last step naming it as an operand.
+/// Throws std::invalid_argument for an empty program or an output no
+/// step touches (its bits would have no defined capture instant).
+std::vector<std::size_t> program_capture_steps(
+    const std::vector<bulk_step>& steps,
+    const std::vector<dram::bulk_vector>& outputs);
+
+/// Builds the request payload of a program; validates like
+/// program_capture_steps.
+program_args make_program(std::vector<bulk_step> steps,
+                          std::vector<dram::bulk_vector> outputs);
 
 /// Cross-thread completion state shared by the submitting client and
 /// the shard worker.
@@ -240,6 +298,15 @@ class request_future {
       throw std::runtime_error("service request failed: " + state_->error);
     }
     return state_->result;
+  }
+
+  /// Blocks like get(); returns the shard-side failure message, empty
+  /// on success.
+  std::string error() const {
+    require_valid();
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->cv.wait(lock, [&] { return state_->done; });
+    return state_->error;
   }
 
  private:

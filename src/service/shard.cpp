@@ -1,6 +1,7 @@
 #include "service/shard.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "obs/metrics.h"
@@ -14,7 +15,19 @@ namespace {
 /// Trace span names for execute(), indexed by request_payload index.
 constexpr const char* payload_span_names[] = {
     "allocate", "write",   "read",    "run_task", "stage_run",
-    "stage_in", "install", "forget",  "reserve",  "clear"};
+    "stage_in", "install", "forget",  "reserve",  "clear",
+    "program"};
+static_assert(std::size(payload_span_names) ==
+              std::variant_size_v<request_payload>);
+
+/// Registry gauges each shard publishes as "service.shard.<i>.<name>",
+/// in the order publish_stats_locked fills them.
+constexpr const char* gauge_names[] = {
+    "queue_depth",        "inflight_tasks",      "sessions",
+    "busy_banks_x1000",   "sched_ticks",         "energy_pj",
+    "moved_insitu_bytes", "moved_offchip_bytes", "moved_wire_bytes",
+    "wait_admission_ps",  "wait_hazard_ps",      "wait_bank_ps",
+    "exec_ps",            "wire_ps",             "task_lifetime_ps"};
 
 /// Admission stamp for wait-state attribution: a run_task request
 /// records the shard's simulated clock (a relaxed mirror — may lag,
@@ -39,6 +52,12 @@ shard::shard(int index, const core::pim_system_config& system_config,
   config_.session_max_inflight = std::max(1, config_.session_max_inflight);
   config_.ticks_per_slice = std::max(1, config_.ticks_per_slice);
   stats_.shard = index;
+  static_assert(std::size(gauge_names) == gauge_count);
+  auto& reg = obs::metrics_registry::instance();
+  const std::string prefix = "service.shard." + std::to_string(index) + ".";
+  for (std::size_t g = 0; g < gauge_count; ++g) {
+    gauges_[g] = &reg.gauge(prefix + gauge_names[g]);
+  }
   sys_.runtime().sched().set_trace_process("shard " + std::to_string(index) +
                                            " sim");
 
@@ -190,17 +209,7 @@ request_future shard::enqueue_move(request& r) {
       fail(*state, "shard stopped");
       return future;
     }
-    if (s.queue.empty()) {
-      // Stride re-entry rule: a session resuming after an idle spell
-      // is floored to the current service position — it must not
-      // replay the share it did not use.
-      s.pass = std::max(s.pass, virtual_pass_);
-    }
-    stamp_admission(r, sim_now_ps_.load(std::memory_order_relaxed));
-    s.queue.push_back(std::move(r));
-    ++total_queued_;
-    ++stats_.requests_enqueued;
-    stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+    admit_locked(s, r);
   }
   cv_worker_.notify_one();
   return future;
@@ -222,18 +231,55 @@ std::optional<request_future> shard::try_enqueue_move(request& r) {
       ++stats_.requests_rejected;
       return std::nullopt;
     }
-    if (s.queue.empty()) {
-      // Stride re-entry rule; see enqueue().
-      s.pass = std::max(s.pass, virtual_pass_);
-    }
-    stamp_admission(r, sim_now_ps_.load(std::memory_order_relaxed));
-    s.queue.push_back(std::move(r));
-    ++total_queued_;
-    ++stats_.requests_enqueued;
-    stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+    admit_locked(s, r);
   }
   cv_worker_.notify_one();
   return request_future(state);
+}
+
+void shard::admit_locked(session_state& s, request& r) {
+  if (s.queue.empty()) {
+    // Stride re-entry rule: a session resuming after an idle spell
+    // is floored to the current service position — it must not
+    // replay the share it did not use.
+    s.pass = std::max(s.pass, virtual_pass_);
+  }
+  const picoseconds now = sim_now_ps_.load(std::memory_order_relaxed);
+  if (auto* program = std::get_if<program_args>(&r.payload)) {
+    // The steps queue back to back, as the same steps submitted one
+    // by one would, and the unchanged pop loop releases them under
+    // the usual stride order and inflight caps. The program counts as
+    // one request; its queue footprint is one entry per step. Like a
+    // migrated backlog, it may overshoot the admission bound: it was
+    // admitted as a whole.
+    for (std::size_t i = 0; i < program->steps.size(); ++i) {
+      request step;
+      step.session = r.session;
+      step.completion = r.completion;
+      run_task_args args;
+      args.task.payload = std::move(program->steps[i]);
+      args.task.admit_ps = now;
+      args.program = program->run;
+      args.step = i;
+      step.payload = std::move(args);
+      s.queue.push_back(std::move(step));
+    }
+    total_queued_ += program->steps.size();
+  } else {
+    stamp_admission(r, now);
+    s.queue.push_back(std::move(r));
+    ++total_queued_;
+  }
+  ++stats_.requests_enqueued;
+  stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+}
+
+bool shard::fail_request(request& r, const std::string& why) {
+  if (auto* args = std::get_if<run_task_args>(&r.payload)) {
+    if (args->program && args->program->failed.exchange(true)) return false;
+  }
+  fail(*r.completion, why);
+  return true;
 }
 
 request_future shard::enqueue_control(request r) {
@@ -266,8 +312,7 @@ void shard::forward_backlog(session_id id, std::deque<request> backlog) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
       for (request& r : backlog) {
-        fail(*r.completion, "shard stopped");
-        ++stats_.requests_failed;
+        if (fail_request(r, "shard stopped")) ++stats_.requests_failed;
       }
       return;
     }
@@ -278,8 +323,15 @@ void shard::forward_backlog(session_id id, std::deque<request> backlog) {
     session_state& s = it->second;
     if (s.queue.empty()) s.pass = std::max(s.pass, virtual_pass_);
     total_queued_ += backlog.size();
-    stats_.requests_enqueued += backlog.size();
-    for (request& r : backlog) s.queue.push_back(std::move(r));
+    // A program's steps are contiguous in the FIFO: count it once.
+    const program_run* last = nullptr;
+    for (request& r : backlog) {
+      const auto* args = std::get_if<run_task_args>(&r.payload);
+      const program_run* run = args != nullptr ? args->program.get() : nullptr;
+      if (run == nullptr || run != last) ++stats_.requests_enqueued;
+      last = run;
+      s.queue.push_back(std::move(r));
+    }
     stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
   }
   cv_worker_.notify_one();
@@ -841,9 +893,10 @@ shard::exec_result shard::execute(request& req) {
         throw std::logic_error("shard: unknown request payload");
     }
   } catch (const std::exception& e) {
-    fail(*req.completion, e.what());
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.requests_failed;
+    if (fail_request(req, e.what())) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.requests_failed;
+    }
   }
   return exec_result::done;
 }
@@ -941,6 +994,10 @@ void shard::exec_read(request& req, const read_args& args) {
 }
 
 shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
+  // A step of a program that already failed is dropped unexecuted.
+  if (args.program && args.program->failed.load(std::memory_order_acquire)) {
+    return exec_result::done;
+  }
   // Translate a copy: if the task's rows are under a write-back
   // reservation the request parks and re-executes intact later.
   runtime::pim_task task = args.task;
@@ -950,13 +1007,30 @@ shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
   std::vector<std::uint64_t> keys;
   collect_task_rows(sys_.memory(), task, keys);
   if (rows_reserved(keys, 0)) return exec_result::park_session;
+  // The program outputs this step is the last to touch, translated
+  // now so the capture at completion cannot fail.
+  std::vector<std::pair<std::size_t, dram::bulk_vector>> captures;
+  if (args.program) {
+    const program_run& run = *args.program;
+    for (std::size_t o = 0; o < run.outputs.size(); ++o) {
+      if (run.capture_step[o] == args.step) {
+        captures.emplace_back(o, translate(req.session, run.outputs[o]));
+      }
+    }
+  }
   auto completion = req.completion;
   const session_id session = req.session;
-  task.on_complete = [this, completion, keys,
-                      session](const runtime::task_report& report) {
+  task.on_complete = [this, completion, keys, session, program = args.program,
+                      step = args.step, captures = std::move(captures)](
+                         const runtime::task_report& report) {
     for (std::uint64_t key : keys) untrack_row(key);
     --inflight_tasks_;
     --session_inflight_[session];
+    if (program) {
+      finish_program_step(session, completion, *program, step, report,
+                          captures);
+      return;
+    }
     request_result res;
     res.report = report;
     complete_tracked(session, completion, std::move(res),
@@ -969,6 +1043,25 @@ shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.tasks_submitted;
   return exec_result::done;
+}
+
+void shard::finish_program_step(
+    session_id session, const std::shared_ptr<request_state>& completion,
+    program_run& run, std::size_t step, const runtime::task_report& report,
+    const std::vector<std::pair<std::size_t, dram::bulk_vector>>& captures) {
+  run.result.reports[step] = report;
+  for (const auto& [output, phys] : captures) {
+    run.result.outputs[output] = sys_.read(phys);
+  }
+  // Only completed steps count down: a failed or dropped step leaves
+  // the count above zero, so a failed program never also completes.
+  if (run.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  bytes output = 0;
+  for (const runtime::task_report& r : run.result.reports) {
+    output += r.output_bytes;
+  }
+  complete_tracked(session, completion, std::move(run.result), output,
+                   "program");
 }
 
 shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
@@ -1212,62 +1305,33 @@ void shard::publish_stats_locked() {
   sim_now_ps_.store(stats_.now_ps, std::memory_order_relaxed);
   stats_.runtime = sys_.runtime().stats();
   // Registry gauges: published at the worker's idle points, so reads
-  // see a consistent snapshot without touching the hot path.
-  auto& reg = obs::metrics_registry::instance();
-  const std::string prefix = "service.shard." + std::to_string(index_) + ".";
-  reg.gauge(prefix + "queue_depth")
-      .store(static_cast<std::int64_t>(total_queued_),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "inflight_tasks")
-      .store(static_cast<std::int64_t>(
-                 inflight_tasks_.load(std::memory_order_relaxed)),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "sessions")
-      .store(stats_.sessions, std::memory_order_relaxed);
-  reg.gauge(prefix + "busy_banks_x1000")
-      .store(static_cast<std::int64_t>(
-                 stats_.runtime.sched.avg_busy_banks() * 1000.0),
-             std::memory_order_relaxed);
-  // Energy meter + moved-bytes gauges publish from the same runtime
-  // snapshot, in the same mu_ hold, as the scheduler-tick gauges —
-  // a mid-burst get_metrics can never pair energy from one publish
-  // point with ticks from another.
-  reg.gauge(prefix + "sched_ticks")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.ticks),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "energy_pj")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.energy_fj / 1000),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "moved_insitu_bytes")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.insitu_bytes),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "moved_offchip_bytes")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.offchip_bytes),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "moved_wire_bytes")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wire_bytes),
-             std::memory_order_relaxed);
-  // Wait-state attribution: the five classes partition task_lifetime
-  // exactly (scheduler invariant), so the dashboard can render shares
-  // without a remainder bucket.
-  reg.gauge(prefix + "wait_admission_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wait_admission_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "wait_hazard_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wait_hazard_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "wait_bank_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wait_bank_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "exec_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.exec_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "wire_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wire_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "task_lifetime_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.task_lifetime_ps),
-             std::memory_order_relaxed);
+  // see a consistent snapshot without touching the hot path. Energy,
+  // moved bytes and the wait-state classes come from the same runtime
+  // snapshot, in the same mu_ hold, as the scheduler-tick gauge — a
+  // mid-burst get_metrics can never pair energy from one publish point
+  // with ticks from another — and the five wait classes partition
+  // task_lifetime exactly (scheduler invariant), so the dashboard can
+  // render shares without a remainder bucket.
+  const runtime::scheduler_stats& sched = stats_.runtime.sched;
+  const std::int64_t values[gauge_count] = {
+      static_cast<std::int64_t>(total_queued_),
+      inflight_tasks_.load(std::memory_order_relaxed),
+      stats_.sessions,
+      static_cast<std::int64_t>(sched.avg_busy_banks() * 1000.0),
+      static_cast<std::int64_t>(sched.ticks),
+      static_cast<std::int64_t>(sched.energy_fj / 1000),
+      static_cast<std::int64_t>(sched.insitu_bytes),
+      static_cast<std::int64_t>(sched.offchip_bytes),
+      static_cast<std::int64_t>(sched.wire_bytes),
+      static_cast<std::int64_t>(sched.wait_admission_ps),
+      static_cast<std::int64_t>(sched.wait_hazard_ps),
+      static_cast<std::int64_t>(sched.wait_bank_ps),
+      static_cast<std::int64_t>(sched.exec_ps),
+      static_cast<std::int64_t>(sched.wire_ps),
+      static_cast<std::int64_t>(sched.task_lifetime_ps)};
+  for (std::size_t g = 0; g < gauge_count; ++g) {
+    gauges_[g]->store(values[g], std::memory_order_relaxed);
+  }
   // Every publish satisfies any pending on-demand stats() request.
   stats_pub_done_ = stats_pub_requested_;
   cv_stats_.notify_all();
@@ -1278,27 +1342,23 @@ void shard::fail_all_queued_locked() {
     request r = std::move(control_queue_.front());
     control_queue_.pop_front();
     --total_queued_;
-    fail(*r.completion, "shard stopped");
-    ++stats_.requests_failed;
+    if (fail_request(r, "shard stopped")) ++stats_.requests_failed;
   }
   for (request& r : waiting_on_token_) {
-    fail(*r.completion, "shard stopped");
-    ++stats_.requests_failed;
+    if (fail_request(r, "shard stopped")) ++stats_.requests_failed;
   }
   waiting_on_token_.clear();
   for (auto& [id, s] : sessions_) {
     (void)id;
     if (s.parked.has_value()) {
-      fail(*s.parked->completion, "shard stopped");
-      ++stats_.requests_failed;
+      if (fail_request(*s.parked, "shard stopped")) ++stats_.requests_failed;
       s.parked.reset();
     }
     while (!s.queue.empty()) {
       request r = std::move(s.queue.front());
       s.queue.pop_front();
       --total_queued_;
-      fail(*r.completion, "shard stopped");
-      ++stats_.requests_failed;
+      if (fail_request(r, "shard stopped")) ++stats_.requests_failed;
     }
   }
   cv_space_.notify_all();

@@ -31,6 +31,7 @@
 #ifndef PIM_SERVICE_SHARD_H
 #define PIM_SERVICE_SHARD_H
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -200,6 +201,14 @@ class shard {
   };
 
   void run();  // worker thread body
+  /// Appends `r` to `s`'s queue (caller holds mu_ and has checked
+  /// capacity). A program request is expanded here into one run_task
+  /// request per step, all admitted in this one lock hold.
+  void admit_locked(session_state& s, request& r);
+  /// Fails `r`'s client future. False when the future had already
+  /// resolved: a program's steps share one future, and only the first
+  /// failing step resolves it.
+  bool fail_request(request& r, const std::string& why);
   bool pop_next_locked(request& out);
   exec_result execute(request& req);
   void drain();             // worker: advance until the runtime is idle
@@ -251,6 +260,14 @@ class shard {
   void exec_write(request& req, const write_args& args);
   void exec_read(request& req, const read_args& args);
   exec_result exec_run_task(request& req, run_task_args& args);
+  /// Program step completion (worker thread, inside the scheduler's
+  /// completion path): records the report, captures the outputs this
+  /// step is the last to touch, and resolves the program after its
+  /// last step. `captures` pairs output indices with physical vectors.
+  void finish_program_step(
+      session_id session, const std::shared_ptr<request_state>& completion,
+      program_run& run, std::size_t step, const runtime::task_report& report,
+      const std::vector<std::pair<std::size_t, dram::bulk_vector>>& captures);
   exec_result exec_stage_run(request& req, stage_run_args& args);
   void exec_stage_in(request& req, stage_in_args& args);
   void exec_install(request& req, install_args& args);
@@ -292,6 +309,11 @@ class shard {
   /// to it so they cannot replay the share they did not use.
   double virtual_pass_ = 0.0;
   shard_stats stats_;
+  /// This shard's registry gauges ("service.shard.<i>.<name>"),
+  /// looked up once at construction; publish_stats_locked stores into
+  /// them without touching the registry's mutex.
+  static constexpr std::size_t gauge_count = 15;
+  std::array<std::atomic<std::int64_t>*, gauge_count> gauges_{};
   /// Live per-session latency histograms (mu_); snapshotted into
   /// stats_.session_latency by publish_stats_locked.
   std::map<session_id, latency_histogram> latency_;

@@ -394,6 +394,20 @@ std::vector<std::pair<std::string, net_message>> golden_messages() {
     m.b.reset();
     out.emplace_back("submit_shared_unary", m);
   }
+  {
+    submit_program_req m;
+    m.session = 0x0102030405060708ull;
+    m.steps.resize(2);
+    m.steps[0].op = dram::bulk_op::and_op;
+    m.steps[0].a = golden_vector(12);
+    m.steps[0].b = golden_vector(13);
+    m.steps[0].d = golden_vector(14);
+    m.steps[1].op = dram::bulk_op::not_op;  // unary: absent b
+    m.steps[1].a = golden_vector(14);
+    m.steps[1].d = golden_vector(15);
+    m.outputs = {golden_vector(15), golden_vector(14)};
+    out.emplace_back("submit_program", m);
+  }
   out.emplace_back("wait", wait_req{});
   out.emplace_back("stats", stats_req{});
   out.emplace_back("hello", hello_req{3});
@@ -432,6 +446,35 @@ std::vector<std::pair<std::string, net_message>> golden_messages() {
     r.wire_hop = true;
     out.emplace_back("done", m);
   }
+  {
+    program_done_resp m;
+    m.reports.resize(2);
+    for (std::size_t k = 0; k < m.reports.size(); ++k) {
+      runtime::task_report& r = m.reports[k];
+      const auto i = static_cast<std::int64_t>(k) + 1;
+      r.id = 70 + k;
+      r.stream = -static_cast<int>(i);
+      r.kind = runtime::task_kind::bulk_bool;
+      r.where = runtime::backend_kind::ambit;
+      r.submit_ps = 100 * i;
+      r.start_ps = 200 * i;
+      r.complete_ps = 3000 * i;
+      r.output_bytes = 8192 * static_cast<bytes>(i);
+      r.channel = static_cast<int>(i);
+      r.bank = 3 + static_cast<int>(i);
+      r.energy_fj = 0x123456 * static_cast<std::uint64_t>(i);
+      r.insitu_bytes = 21 * static_cast<bytes>(i);
+      r.offchip_bytes = 22 * static_cast<bytes>(i);
+      r.wire_bytes = 23 * static_cast<bytes>(i);
+      r.admit_ps = 50 * i;
+      r.release_ps = 150 * i;
+      r.blocked_on = 69 + k;
+      r.blocked_row = 0x4000000000000002ull + k;
+      r.wire_hop = k == 1;
+    }
+    m.outputs = {golden_bits(64 * 2, 12), golden_bits(70, 13)};
+    out.emplace_back("program_done", m);
+  }
   out.emplace_back("waited", waited_resp{});
   out.emplace_back("stats_report", stats_resp{"{\"x\":1}"});
   out.emplace_back("error", error_resp{"boom"});
@@ -463,12 +506,14 @@ std::string hex_digest(const std::vector<std::uint8_t>& bytes) {
   return buf;
 }
 
-TEST(protocol, golden_bytes_pin_every_message_at_every_version) {
+TEST(protocol, golden_bytes_pin_every_v1_to_v4_message_at_every_version) {
   // Round trips cannot see a layout change made symmetrically on both
   // sides; these digests pin the exact frame bytes. Each covers the
   // message's frames at versions 1..4 (request id = 100 + version),
-  // so a version-gated tail that moves changes the digest too.
-  static_assert(wire_version_min == 1 && wire_version == 4,
+  // so a version-gated tail that moves changes the digest too. The
+  // digests predate version 5 and must never be regenerated: messages
+  // born at version 5 are pinned by the v5 table below instead.
+  static_assert(wire_version_min == 1 && wire_version >= 4,
                 "version window changed: extend the golden digests");
   const std::map<std::string, std::string> expected = {
       {"open_session", "26922cac3a060b75"},
@@ -501,17 +546,69 @@ TEST(protocol, golden_bytes_pin_every_message_at_every_version) {
   };
   const auto messages = golden_messages();
   EXPECT_EQ(messages.size(), std::variant_size_v<net_message> + 2);
+  std::size_t pinned = 0;
   for (const auto& [name, msg] : messages) {
+    if (message_table[msg.index()].since > 4) continue;
     std::vector<std::uint8_t> all;
-    for (std::uint8_t v = wire_version_min; v <= wire_version; ++v) {
+    for (std::uint8_t v = wire_version_min; v <= 4; ++v) {
       const auto frame = encode_frame(100 + v, msg, v);
       all.insert(all.end(), frame.begin(), frame.end());
     }
     const auto it = expected.find(name);
     EXPECT_TRUE(it != expected.end() && it->second == hex_digest(all))
         << "{\"" << name << "\", \"" << hex_digest(all) << "\"},";
+    ++pinned;
   }
+  EXPECT_EQ(pinned, expected.size());
 }
+
+TEST(protocol, golden_bytes_pin_every_message_at_v5) {
+  // Version 5 frame of every message (request id 105), the two
+  // program messages it introduced included.
+  static_assert(wire_version == 5,
+                "version window changed: add a golden table for it");
+  const std::map<std::string, std::string> expected = {
+      {"open_session", "1f14afe1f70e638b"},
+      {"close_session", "a0f80c982f262b1c"},
+      {"allocate", "e22ccb01400a97bc"},
+      {"write", "ec3aac8f18d44df9"},
+      {"read", "072de60f58f005b3"},
+      {"submit", "703716b560bd0392"},
+      {"submit_unary", "08dddf53c3ccda3a"},
+      {"submit_shared", "1dc2efb53127a371"},
+      {"submit_shared_unary", "af30e36f3922c4d6"},
+      {"submit_program", "af94e8facb5b1955"},
+      {"wait", "31776904deeba11a"},
+      {"stats", "31776a04deeba2cd"},
+      {"hello", "eb4c128abe6ac3ea"},
+      {"get_metrics", "31776804deeb9f67"},
+      {"trace_ctl", "d8af80f7c6aac98b"},
+      {"watch_stats", "f73eaf3d1f32d83b"},
+      {"opened", "ca4af0223a7a11d4"},
+      {"closed", "31772204deeb2875"},
+      {"vectors", "f409f98f437ec4b9"},
+      {"data", "885f4784ccccbdc7"},
+      {"done", "cfbb941d906e7abc"},
+      {"program_done", "90bccdac49f1e457"},
+      {"waited", "31771e04deeb21a9"},
+      {"stats_report", "64b54305575945ad"},
+      {"error", "b558ac08342b3568"},
+      {"hello_ack", "ea6bc38abdac2e3f"},
+      {"metrics_report", "55ce510ea9bae258"},
+      {"trace_ack", "dd1a320b2584b418"},
+      {"stats_push", "de8d55bf23470c7e"},
+  };
+  const auto messages = golden_messages();
+  for (const auto& [name, msg] : messages) {
+    const std::string digest = hex_digest(encode_frame(105, msg, 5));
+    const auto it = expected.find(name);
+    EXPECT_TRUE(it != expected.end() && it->second == digest)
+        << "{\"" << name << "\", \"" << digest << "\"},";
+  }
+  EXPECT_EQ(messages.size(), expected.size());
+}
+
+
 
 TEST(protocol, golden_frames_decode_and_reencode_byte_identically) {
   // The decoder reads back exactly what the encoder wrote, at every
@@ -1227,6 +1324,173 @@ TEST(remote_client, server_side_failure_surfaces_as_future_error) {
     // The connection is still healthy for correct requests.
     EXPECT_EQ(client.allocate(8192, 2).size(), 2u);
   }
+  server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Pushed-down programs over the wire (protocol version 5)
+// ---------------------------------------------------------------------------
+
+/// Reads frames off `fd` into `out` until one carries `id`; false on
+/// EOF first.
+bool read_until_id(int fd, frame_splitter& splitter, std::uint64_t id,
+                   std::vector<net_frame>& out) {
+  std::uint8_t buf[4096];
+  for (;;) {
+    while (auto f = splitter.next()) {
+      out.push_back(std::move(*f));
+      if (out.back().id == id) return true;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    splitter.feed(buf, static_cast<std::size_t>(n));
+  }
+}
+
+/// Sends one frame at `version`, expects its direct answer.
+net_frame call_raw(int fd, frame_splitter& splitter, std::uint64_t id,
+                   const net_message& msg, std::uint8_t version) {
+  const auto wire = encode_frame(id, msg, version);
+  EXPECT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  std::vector<net_frame> frames;
+  EXPECT_TRUE(read_until_id(fd, splitter, id, frames));
+  return frames.back();
+}
+
+TEST(pim_server, answers_every_program_id_exactly_once) {
+  pim_server server(small_server_config());
+  server.start();
+  const int fd = connect_raw(server.port());
+  frame_splitter splitter;
+  const net_frame hello = call_raw(fd, splitter, 1, hello_req{5}, 1);
+  ASSERT_EQ(std::get<hello_resp>(hello.msg).version, 5);
+  const net_frame opened = call_raw(fd, splitter, 2, open_session_req{}, 5);
+  const service::session_id session = std::get<opened_resp>(opened.msg).session;
+  allocate_req alloc;
+  alloc.session = session;
+  alloc.size = 8192;
+  alloc.count = 3;
+  const net_frame vecs = call_raw(fd, splitter, 3, alloc, 5);
+  const auto v = std::get<vectors_resp>(vecs.msg).vectors;
+  ASSERT_EQ(v.size(), 3u);
+
+  auto program = [&](const dram::bulk_vector& out) {
+    submit_program_req req;
+    req.session = session;
+    req.steps.resize(2);
+    req.steps[0].op = dram::bulk_op::not_op;
+    req.steps[0].a = v[0];
+    req.steps[0].d = v[1];
+    req.steps[1].op = dram::bulk_op::xor_op;
+    req.steps[1].a = v[0];
+    req.steps[1].b = v[1];
+    req.steps[1].d = out;
+    req.outputs = {out};
+    return req;
+  };
+  dram::bulk_vector foreign = v[2];
+  foreign.rows[0].row += 10'000;
+  std::map<std::uint64_t, std::string> sent;  // id -> expected answer
+  std::vector<std::uint8_t> burst;
+  auto queue = [&](std::uint64_t id, const submit_program_req& req,
+                   const char* answer) {
+    const auto wire = encode_frame(id, req, 5);
+    burst.insert(burst.end(), wire.begin(), wire.end());
+    sent[id] = answer;
+  };
+  for (std::uint64_t id = 100; id < 110; ++id) {
+    queue(id, program(v[2]), "program_done");
+  }
+  queue(110, program(foreign), "error");  // fails on the shard
+  submit_program_req untouched = program(v[2]);
+  untouched.outputs = {foreign};
+  queue(111, untouched, "error");  // refused before admission
+  submit_program_req stranger = program(v[2]);
+  stranger.session = session + 1000;
+  queue(112, stranger, "error");  // not this connection's session
+  for (std::uint64_t id = 113; id < 120; ++id) {
+    queue(id, program(v[2]), "program_done");
+  }
+  // The barrier answers once every program has been answered.
+  const auto barrier = encode_frame(999, wait_req{}, 5);
+  burst.insert(burst.end(), barrier.begin(), barrier.end());
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  std::vector<net_frame> frames;
+  ASSERT_TRUE(read_until_id(fd, splitter, 999, frames));
+  // A later request's answer must be the next frame: no program
+  // answers twice.
+  const net_frame after = call_raw(fd, splitter, 1000, stats_req{}, 5);
+  EXPECT_TRUE(std::holds_alternative<stats_resp>(after.msg));
+  ::close(fd);
+  server.stop();
+
+  std::map<std::uint64_t, int> answers;
+  for (const net_frame& f : frames) {
+    if (f.id == 999) continue;
+    ++answers[f.id];
+    ASSERT_EQ(sent.count(f.id), 1u) << "unexpected id " << f.id;
+    const std::string& want = sent[f.id];
+    if (want == "program_done") {
+      ASSERT_TRUE(std::holds_alternative<program_done_resp>(f.msg))
+          << "id " << f.id;
+      const auto& done = std::get<program_done_resp>(f.msg);
+      EXPECT_EQ(done.reports.size(), 2u);
+      ASSERT_EQ(done.outputs.size(), 1u);
+      // v0 ^ ~v0: all ones.
+      EXPECT_EQ(done.outputs[0].popcount(), done.outputs[0].size());
+    } else {
+      EXPECT_TRUE(std::holds_alternative<error_resp>(f.msg)) << "id " << f.id;
+    }
+  }
+  EXPECT_EQ(answers.size(), sent.size());
+  for (const auto& [id, n] : answers) EXPECT_EQ(n, 1) << "id " << id;
+}
+
+TEST(remote_client, v4_peer_falls_back_to_one_request_per_step) {
+  pim_server server(small_server_config());
+  server.start();
+  auto run = [&](std::uint8_t max_version) -> std::uint64_t {
+    remote_client client("127.0.0.1", server.port(), 1.0, max_version);
+    EXPECT_EQ(client.negotiated_version(), max_version);
+    const auto v = client.allocate(8192, 4);
+    rng gen(static_cast<std::uint64_t>(max_version));
+    const bitvector a = bitvector::random(8192, gen);
+    const bitvector b = bitvector::random(8192, gen);
+    client.write(v[0], a);
+    client.write(v[1], b);
+    std::vector<service::bulk_step> steps(3);
+    steps[0].op = dram::bulk_op::and_op;
+    steps[0].a = v[0];
+    steps[0].b = v[1];
+    steps[0].d = v[2];
+    steps[1].op = dram::bulk_op::nor_op;
+    steps[1].a = v[0];
+    steps[1].b = v[2];
+    steps[1].d = v[3];
+    steps[2].op = dram::bulk_op::not_op;
+    steps[2].a = v[3];
+    steps[2].d = v[3];
+    const std::uint64_t before =
+        server.service().stats().requests_enqueued;
+    const service::request_future f =
+        client.submit_program(std::move(steps), {v[3], v[2]});
+    const service::request_result& r = f.get();
+    const std::uint64_t requests =
+        server.service().stats().requests_enqueued - before;
+    EXPECT_EQ(r.reports.size(), 3u);
+    EXPECT_EQ(r.outputs.size(), 2u);
+    if (r.outputs.size() == 2) {
+      EXPECT_EQ(r.outputs[0], a | (a & b));
+      EXPECT_EQ(r.outputs[1], a & b);
+    }
+    client.wait_all();
+    return requests;
+  };
+  // v5: one request. v4: three submits plus two output reads.
+  EXPECT_EQ(run(5), 1u);
+  EXPECT_EQ(run(4), 5u);
   server.stop();
 }
 

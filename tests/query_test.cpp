@@ -11,6 +11,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "query/exec.h"
+#include "query/explain.h"
 #include "service/client.h"
 
 namespace pim::query {
@@ -349,6 +350,112 @@ TEST(query_engine, remote_transport_matches_in_process) {
   EXPECT_EQ(remote.digests, local.digests);
   EXPECT_EQ(remote.gathered, local.gathered);
   EXPECT_EQ(remote.sums, local.sums);
+}
+
+TEST(query_engine, v4_remote_sessions_match_in_process) {
+  // Sessions pinned to protocol version 4 cannot push programs down:
+  // the executor's submit_program falls back to one submit per step
+  // plus read-backs, and must produce the same results.
+  const dataset data(512);
+  const int partitions = 3;
+  const run_outcome local = run_in_process(data, 2, partitions);
+
+  net::server_config cfg;
+  cfg.service = small_config(2, partitions + 1);
+  net::pim_server server(cfg);
+  server.start();
+  run_outcome remote;
+  {
+    std::vector<std::unique_ptr<net::remote_client>> clients;
+    std::vector<service::client_api*> sessions;
+    for (int p = 0; p < partitions + 1; ++p) {
+      clients.push_back(std::make_unique<net::remote_client>(
+          "127.0.0.1", server.port(), 1.0, /*max_version=*/4));
+      ASSERT_EQ(clients.back()->negotiated_version(), 4);
+      sessions.push_back(clients.back().get());
+    }
+    remote = run_mix(data, std::move(sessions));
+  }
+  server.stop();
+
+  EXPECT_EQ(remote.digests, local.digests);
+  EXPECT_EQ(remote.gathered, local.gathered);
+  EXPECT_EQ(remote.sums, local.sums);
+}
+
+/// explain_analyze of one AND query over `partitions` sessions, with
+/// the scheduler-tick and energy-meter cross-checks wired to the
+/// service that runs it.
+explain_result explain_over(const dataset& data, int partitions, bool remote) {
+  service::service_config scfg = small_config(2, partitions);
+  std::unique_ptr<net::pim_server> server;
+  std::unique_ptr<service::pim_service> svc;
+  std::vector<std::unique_ptr<service::client_api>> clients;
+  if (remote) {
+    net::server_config cfg;
+    cfg.service = scfg;
+    server = std::make_unique<net::pim_server>(cfg);
+    server->start();
+  } else {
+    svc = std::make_unique<service::pim_service>(scfg);
+    svc->start();
+  }
+  service::pim_service& live = remote ? server->service() : *svc;
+  for (int p = 0; p < partitions; ++p) {
+    if (remote) {
+      clients.push_back(
+          std::make_unique<net::remote_client>("127.0.0.1", server->port()));
+    } else {
+      clients.push_back(std::make_unique<service::service_client>(live));
+    }
+  }
+  std::vector<service::client_api*> sessions;
+  for (const auto& c : clients) sessions.push_back(c.get());
+  explain_result ex;
+  {
+    pim_table table(data.schema, data.x.rows(), sessions, 16);
+    table.load("x", data.x);
+    table.load("y", data.y);
+    explain_options opts;
+    opts.total_ticks = [&live] { return live.stats().total_ticks; };
+    opts.total_energy_fj = [&live] { return live.stats().energy_fj; };
+    query_spec spec;
+    spec.where = predicate_node::land(
+        predicate_node::leaf("x", {db::cmp_op::lt, 20, 0}),
+        predicate_node::leaf("y", {db::cmp_op::ge, 3, 0}));
+    ex = explain_query(table, spec, opts);
+  }
+  clients.clear();
+  if (remote) {
+    server->stop();
+  } else {
+    svc->stop();
+  }
+  return ex;
+}
+
+TEST(query_engine, explain_analyze_is_exact_over_both_transports) {
+  // Each partition's program returns every step's report; folded, they
+  // must account for exactly the ticks and energy the shards' own
+  // counters moved by — in process and over loopback alike.
+  const dataset data(700);
+  for (const bool remote : {false, true}) {
+    const explain_result ex = explain_over(data, 3, remote);
+    EXPECT_TRUE(ex.checked && ex.exact)
+        << (remote ? "loopback" : "in-process") << ": ticks "
+        << ex.scheduler_ticks_delta << " vs "
+        << ex.profile.total_attributed_ticks;
+    EXPECT_TRUE(ex.checked_energy && ex.exact_energy)
+        << (remote ? "loopback" : "in-process");
+    EXPECT_TRUE(ex.projection_identity);
+    EXPECT_FALSE(ex.result.samples.empty());
+    EXPECT_EQ(ex.result.samples.size(), ex.result.ops_submitted);
+    EXPECT_EQ(ex.result.selection,
+              reference_selection(
+                  data, predicate_node::land(
+                            predicate_node::leaf("x", {db::cmp_op::lt, 20, 0}),
+                            predicate_node::leaf("y", {db::cmp_op::ge, 3, 0}))));
+  }
 }
 
 TEST(query_engine, rejects_plan_larger_than_scratch_pool) {

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "service/synthetic.h"
@@ -217,6 +218,111 @@ TEST(ServiceStressTest, CrossShardTrafficSurvivesConcurrentMigration) {
 
   EXPECT_EQ(outcome_digests(outcomes), expected);
   EXPECT_EQ(svc.stats().requests_failed, 0u);
+}
+
+TEST(ServiceStressTest, ProgramsSurviveMigrationMidProgram) {
+  // Pushed-down programs racing session migrations. A migration can
+  // split a program: steps already released complete on the old
+  // shard's worker, the forwarded rest on the new one, so the
+  // program's fan-in is updated from two threads. Every program must
+  // still resolve exactly once, with the bits a host model predicts.
+  constexpr int kClients = 6;
+  constexpr int kRounds = 10;
+  constexpr int kSteps = 24;
+  constexpr bits kSize = 3'000;
+  service_config cfg;
+  cfg.shards = 3;
+  cfg.system = stress_system();
+  cfg.shard.session_queue_capacity = 16;
+  pim_service svc(cfg);
+  svc.start();
+  std::vector<std::unique_ptr<service_client>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<service_client>(svc));
+  }
+
+  std::atomic<bool> done{false};
+  std::thread migrator([&] {
+    rng gen(31337);
+    while (!done.load()) {
+      const session_id victim = clients[gen.next_below(kClients)]->id();
+      svc.migrate_session(victim, static_cast<int>(gen.next_below(3)));
+      std::this_thread::sleep_for(std::chrono::microseconds(150));
+    }
+  });
+
+  std::atomic<int> mismatches{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> drivers;
+  for (int c = 0; c < kClients; ++c) {
+    drivers.emplace_back([&, c] {
+      service_client& client = *clients[static_cast<std::size_t>(c)];
+      const auto v = client.allocate(kSize, 4);
+      rng gen(500 + static_cast<std::uint64_t>(c));
+      std::vector<bitvector> model;
+      for (const auto& vec : v) {
+        model.push_back(bitvector::random(kSize, gen));
+        client.write(vec, model.back());
+      }
+      const auto& ops = dram::all_bulk_ops();
+      // Two programs in flight at once, so a migration finds steps of
+      // both queued and released.
+      auto build = [&](std::vector<bitvector>& values) {
+        std::vector<bulk_step> steps;
+        for (int i = 0; i < kSteps; ++i) {
+          bulk_step st;
+          st.op = ops[gen.next_below(ops.size())];
+          const std::size_t a = gen.next_below(v.size());
+          const std::size_t b = gen.next_below(v.size());
+          const std::size_t d = gen.next_below(v.size());
+          st.a = v[a];
+          if (!dram::is_unary(st.op)) st.b = v[b];
+          st.d = v[d];
+          values[d] = dram::ambit_engine::apply(
+              st.op, values[a], dram::is_unary(st.op) ? values[a] : values[b]);
+          steps.push_back(std::move(st));
+        }
+        return steps;
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<bitvector> after_first = model;
+        std::vector<bulk_step> first = build(after_first);
+        std::vector<bitvector> after_second = after_first;
+        std::vector<bulk_step> second = build(after_second);
+        try {
+          request_future f1 = client.submit_program(first, {v[0], v[1]});
+          request_future f2 = client.submit_program(second, {v[2], v[3]});
+          const request_result& r1 = f1.get();
+          const request_result& r2 = f2.get();
+          if (r1.outputs[0] != after_first[0] ||
+              r1.outputs[1] != after_first[1] ||
+              r2.outputs[0] != after_second[2] ||
+              r2.outputs[1] != after_second[3] ||
+              r1.reports.size() != kSteps || r2.reports.size() != kSteps) {
+            mismatches.fetch_add(1);
+          }
+          client.wait_all();
+        } catch (const std::exception&) {
+          errors.fetch_add(1);
+        }
+        model = std::move(after_second);
+      }
+      for (std::size_t k = 0; k < v.size(); ++k) {
+        if (client.read(v[k]) != model[k]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : drivers) t.join();
+  done.store(true);
+  migrator.join();
+  svc.stop();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(errors.load(), 0);
+  const service_stats stats = svc.stats();
+  EXPECT_EQ(stats.requests_failed, 0u);
+  EXPECT_GT(stats.migrations, 0u);
+  EXPECT_EQ(stats.sched_completed, stats.sched_submitted);
 }
 
 TEST(ServiceStressTest, RepeatedStartStopCyclesAreClean) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/digest.h"
 #include "service/synthetic.h"
@@ -847,6 +848,340 @@ TEST(ServiceStatsTest, TracksPerSessionLatencyPercentiles) {
   EXPECT_NE(json.str().find("\"latency\""), std::string::npos);
   EXPECT_NE(json.str().find("\"session_latency\""), std::string::npos);
   EXPECT_NE(json.str().find("\"p99_us\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Pushed-down programs (client_api::submit_program)
+// ---------------------------------------------------------------------------
+
+/// A seeded chain of `count` bulk ops over `v`, dense in RAW, WAR and
+/// WAW hazards, applied to the host model `values` as it is built.
+std::vector<bulk_step> random_program(const std::vector<dram::bulk_vector>& v,
+                                      int count, std::uint64_t seed,
+                                      std::vector<bitvector>& values) {
+  rng gen(seed);
+  const auto& ops = dram::all_bulk_ops();
+  std::vector<bulk_step> steps;
+  for (int i = 0; i < count; ++i) {
+    bulk_step s;
+    s.op = ops[gen.next_below(ops.size())];
+    const std::size_t a = gen.next_below(v.size());
+    const std::size_t b = gen.next_below(v.size());
+    const std::size_t d = gen.next_below(v.size());
+    s.a = v[a];
+    if (!dram::is_unary(s.op)) s.b = v[b];
+    s.d = v[d];
+    values[d] = dram::ambit_engine::apply(
+        s.op, values[a], dram::is_unary(s.op) ? values[a] : values[b]);
+    steps.push_back(std::move(s));
+  }
+  return steps;
+}
+
+void expect_same_report(const runtime::task_report& x,
+                        const runtime::task_report& y, std::size_t step) {
+  EXPECT_EQ(x.id, y.id) << "step " << step;
+  EXPECT_EQ(x.kind, y.kind) << "step " << step;
+  EXPECT_EQ(x.where, y.where) << "step " << step;
+  EXPECT_EQ(x.admit_ps, y.admit_ps) << "step " << step;
+  EXPECT_EQ(x.submit_ps, y.submit_ps) << "step " << step;
+  EXPECT_EQ(x.release_ps, y.release_ps) << "step " << step;
+  EXPECT_EQ(x.start_ps, y.start_ps) << "step " << step;
+  EXPECT_EQ(x.complete_ps, y.complete_ps) << "step " << step;
+  EXPECT_EQ(x.output_bytes, y.output_bytes) << "step " << step;
+  EXPECT_EQ(x.blocked_on, y.blocked_on) << "step " << step;
+  EXPECT_EQ(x.blocked_row, y.blocked_row) << "step " << step;
+  EXPECT_EQ(x.channel, y.channel) << "step " << step;
+  EXPECT_EQ(x.bank, y.bank) << "step " << step;
+  EXPECT_EQ(x.energy_fj, y.energy_fj) << "step " << step;
+  EXPECT_EQ(x.insitu_bytes, y.insitu_bytes) << "step " << step;
+  EXPECT_EQ(x.offchip_bytes, y.offchip_bytes) << "step " << step;
+  EXPECT_EQ(x.wire_bytes, y.wire_bytes) << "step " << step;
+}
+
+/// What one run of the equivalence scenario observed.
+struct program_observation {
+  std::vector<runtime::task_report> reports;
+  std::vector<bitvector> outputs;
+  std::uint64_t digest = 0;
+  service_stats stats;
+  std::uint64_t program_requests = 0;  // requests_enqueued by the steps
+};
+
+/// Loads five 2-row vectors, then runs a 20-step program either as one
+/// submit_program or as 20 submit_bulk calls plus output reads. The
+/// worker is paused while the work is admitted, so both variants hand
+/// the scheduler the same queue.
+program_observation run_program_variant(bool pushed_down) {
+  pim_service svc(small_service(1));
+  svc.start();
+  service_client client(svc);
+  const bits size = 5'000;
+  const auto v = client.allocate(size, 5);
+  rng gen(29);
+  std::vector<bitvector> values;
+  for (const auto& vec : v) {
+    values.push_back(bitvector::random(size, gen));
+    client.write(vec, values.back());
+  }
+  std::vector<bitvector> expected = values;
+  std::vector<bulk_step> steps = random_program(v, 20, 5, expected);
+  const std::vector<dram::bulk_vector> outputs = {v[4], v[1], v[3]};
+  // Every output must be some step's operand.
+  EXPECT_NO_THROW(program_capture_steps(steps, outputs));
+
+  program_observation out;
+  const std::uint64_t enqueued_before = svc.stats().requests_enqueued;
+  svc.pause();
+  if (pushed_down) {
+    request_future f = client.submit_program(steps, outputs);
+    out.program_requests = svc.stats().requests_enqueued - enqueued_before;
+    svc.resume();
+    out.reports = f.get().reports;
+    out.outputs = f.get().outputs;
+  } else {
+    std::vector<request_future> futures;
+    for (const bulk_step& st : steps) {
+      futures.push_back(client.submit_bulk(
+          st.op, st.a, st.b ? &*st.b : nullptr, st.d));
+    }
+    out.program_requests = svc.stats().requests_enqueued - enqueued_before;
+    svc.resume();
+    for (const request_future& f : futures) {
+      out.reports.push_back(f.get().report);
+    }
+    for (const auto& o : outputs) out.outputs.push_back(client.read(o));
+  }
+  client.wait_all();
+  out.stats = svc.stats();
+  out.digest = client.digest();
+  EXPECT_EQ(out.outputs[0], expected[4]);
+  EXPECT_EQ(out.outputs[1], expected[1]);
+  EXPECT_EQ(out.outputs[2], expected[3]);
+  svc.stop();
+  return out;
+}
+
+TEST(ServiceProgramTest, ProgramMatchesTheSameStepsSubmittedOneByOne) {
+  const program_observation pushed = run_program_variant(true);
+  const program_observation stepped = run_program_variant(false);
+
+  EXPECT_EQ(pushed.digest, stepped.digest);
+  EXPECT_EQ(pushed.outputs, stepped.outputs);
+  ASSERT_EQ(pushed.reports.size(), 20u);
+  ASSERT_EQ(stepped.reports.size(), 20u);
+  for (std::size_t s = 0; s < pushed.reports.size(); ++s) {
+    expect_same_report(pushed.reports[s], stepped.reports[s], s);
+  }
+  // The simulated schedule is the same one.
+  const service_stats& a = pushed.stats;
+  const service_stats& b = stepped.stats;
+  EXPECT_EQ(a.makespan_ps, b.makespan_ps);
+  EXPECT_EQ(a.total_ticks, b.total_ticks);
+  EXPECT_EQ(a.busy_bank_ticks, b.busy_bank_ticks);
+  EXPECT_EQ(a.energy_fj, b.energy_fj);
+  EXPECT_EQ(a.moved_insitu_bytes, b.moved_insitu_bytes);
+  EXPECT_EQ(a.moved_offchip_bytes, b.moved_offchip_bytes);
+  EXPECT_EQ(a.wait_admission_ps, b.wait_admission_ps);
+  EXPECT_EQ(a.wait_hazard_ps, b.wait_hazard_ps);
+  EXPECT_EQ(a.wait_bank_ps, b.wait_bank_ps);
+  EXPECT_EQ(a.wait_exec_ps, b.wait_exec_ps);
+  EXPECT_EQ(a.wait_lifetime_ps, b.wait_lifetime_ps);
+  EXPECT_EQ(a.sched_submitted, b.sched_submitted);
+  EXPECT_EQ(a.hazard_deferred, b.hazard_deferred);
+  EXPECT_EQ(a.tasks_submitted, b.tasks_submitted);
+  // ... as one request instead of one per step.
+  EXPECT_EQ(pushed.program_requests, 1u);
+  EXPECT_EQ(stepped.program_requests, 20u);
+  EXPECT_EQ(a.requests_completed, a.requests_enqueued);
+  EXPECT_EQ(b.requests_enqueued - a.requests_enqueued, 19u + 3u);
+}
+
+TEST(ServiceProgramTest, BaseImplementationMatchesThePushedDownProgram) {
+  // client_api's own submit_program (one submit_bulk per step, then
+  // reads) must answer exactly like service_client's override.
+  struct stepwise final : client_api {
+    explicit stepwise(service_client& c) : inner(&c) {}
+    session_id id() const override { return inner->id(); }
+    int shard_index() const override { return inner->shard_index(); }
+    std::vector<dram::bulk_vector> allocate(bits size, int count) override {
+      return inner->allocate(size, count);
+    }
+    void write(const dram::bulk_vector& v, const bitvector& d) override {
+      inner->write(v, d);
+    }
+    bitvector read(const dram::bulk_vector& v) override {
+      return inner->read(v);
+    }
+    request_future submit_bulk(dram::bulk_op op, const dram::bulk_vector& a,
+                               const dram::bulk_vector* b,
+                               const dram::bulk_vector& d) override {
+      return inner->submit_bulk(op, a, b, d);
+    }
+    request_future submit_shared(dram::bulk_op op, const shared_vector& a,
+                                 const shared_vector* b,
+                                 const shared_vector& d) override {
+      return inner->submit_shared(op, a, b, d);
+    }
+    void wait_all() override { inner->wait_all(); }
+    std::uint64_t digest() override { return inner->digest(); }
+    service_client* inner;
+  };
+  pim_service svc(small_service(1));
+  svc.start();
+  service_client direct(svc);
+  service_client wrapped_inner(svc);
+  stepwise wrapped(wrapped_inner);
+  const bits size = 3'000;
+  for (client_api* c : std::initializer_list<client_api*>{&direct, &wrapped}) {
+    const auto v = c->allocate(size, 4);
+    rng gen(41);
+    std::vector<bitvector> values;
+    for (const auto& vec : v) {
+      values.push_back(bitvector::random(size, gen));
+      c->write(vec, values.back());
+    }
+    std::vector<bitvector> expected = values;
+    const request_future f =
+        c->submit_program(random_program(v, 11, 8, expected), {v[2], v[0]});
+    const request_result& r = f.get();
+    ASSERT_EQ(r.reports.size(), 11u);
+    ASSERT_EQ(r.outputs.size(), 2u);
+    EXPECT_EQ(r.outputs[0], expected[2]);
+    EXPECT_EQ(r.outputs[1], expected[0]);
+    c->wait_all();
+  }
+  EXPECT_EQ(direct.digest(), wrapped.digest());
+  // Malformed programs are refused up front by both.
+  EXPECT_THROW(direct.submit_program({}, {}), std::invalid_argument);
+  EXPECT_THROW(wrapped.submit_program({}, {}), std::invalid_argument);
+  svc.stop();
+}
+
+TEST(ServiceProgramTest, RejectsOutputsNoStepTouches) {
+  pim_service svc(small_service(1));
+  svc.start();
+  service_client client(svc);
+  const auto v = client.allocate(1'000, 3);
+  bulk_step s;
+  s.op = dram::bulk_op::not_op;
+  s.a = v[0];
+  s.d = v[1];
+  EXPECT_THROW(client.submit_program({s}, {v[2]}), std::invalid_argument);
+  EXPECT_NO_THROW(client.submit_program({s}, {v[1], v[0]}).get());
+  svc.stop();
+}
+
+/// Submits `args` for `session` with a completion hook that counts how
+/// often the future resolves.
+request_future submit_counted(pim_service& svc, session_id session,
+                              program_args args, std::atomic<int>& resolved) {
+  request r;
+  r.session = session;
+  r.completion = std::make_shared<request_state>();
+  r.completion->on_done = [&resolved] { resolved.fetch_add(1); };
+  r.payload = std::move(args);
+  return svc.submit(std::move(r));
+}
+
+TEST(ServiceProgramTest, BadStepFailsTheProgramOnceAndTheSessionGoesOn) {
+  pim_service svc(small_service(1));
+  svc.start();
+  service_client client(svc);
+  const bits size = 1'000;
+  const auto v = client.allocate(size, 3);
+  rng gen(13);
+  const bitvector a = bitvector::random(size, gen);
+  client.write(v[0], a);
+  client.write(v[2], a);
+
+  // Step 1 names a vector this session never allocated.
+  dram::bulk_vector foreign = v[1];
+  for (dram::address& row : foreign.rows) row.row += 10'000;
+  std::vector<bulk_step> steps(3);
+  steps[0].op = dram::bulk_op::not_op;
+  steps[0].a = v[0];
+  steps[0].d = v[1];
+  steps[1].op = dram::bulk_op::and_op;
+  steps[1].a = v[1];
+  steps[1].b = foreign;
+  steps[1].d = v[1];
+  steps[2].op = dram::bulk_op::not_op;  // dropped: the program failed
+  steps[2].a = v[0];
+  steps[2].d = v[2];
+
+  const std::uint64_t failed_before = svc.stats().requests_failed;
+  std::atomic<int> resolved{0};
+  request_future f = submit_counted(svc, client.id(),
+                                    make_program(steps, {v[1], v[2]}),
+                                    resolved);
+  try {
+    f.get();
+    ADD_FAILURE() << "program with a foreign vector completed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not resident"), std::string::npos)
+        << e.what();
+  }
+
+  // The session's later requests still run.
+  client.submit_bulk(dram::bulk_op::not_op, v[0], nullptr, v[1]).get();
+  EXPECT_EQ(client.read(v[1]), ~a);
+  EXPECT_EQ(client.read(v[2]), a);  // step 2 never ran
+  EXPECT_EQ(resolved.load(), 1);
+  EXPECT_EQ(svc.stats().requests_failed - failed_before, 1u);
+  svc.stop();
+  EXPECT_EQ(resolved.load(), 1);
+}
+
+TEST(ServiceProgramTest, ShardStopFailsAQueuedProgramOnce) {
+  pim_service svc(small_service(1));
+  svc.start();
+  service_client client(svc);
+  const auto v = client.allocate(1'000, 3);
+  std::vector<bitvector> values(3, bitvector(1'000));
+  std::vector<bulk_step> steps = random_program(v, 12, 3, values);
+  const std::vector<dram::bulk_vector> outputs = {steps.back().d};
+
+  svc.pause();
+  std::atomic<int> resolved{0};
+  request_future f = submit_counted(svc, client.id(),
+                                    make_program(steps, outputs), resolved);
+  svc.stop();  // never resumed: all 12 steps are still queued
+  EXPECT_THROW(f.get(), std::runtime_error);
+  EXPECT_EQ(resolved.load(), 1);
+  EXPECT_EQ(svc.stats().requests_failed, 1u);
+}
+
+TEST(ServiceProgramTest, ProgramLongerThanTheQueueBoundCompletes) {
+  service_config cfg = small_service(1);
+  ASSERT_EQ(cfg.shard.session_queue_capacity, 64u);
+  pim_service svc(cfg);
+  svc.start();
+  service_client client(svc);
+  const bits size = 1'000;
+  const auto v = client.allocate(size, 4);
+  rng gen(17);
+  std::vector<bitvector> values;
+  for (const auto& vec : v) {
+    values.push_back(bitvector::random(size, gen));
+    client.write(vec, values.back());
+  }
+  // 150 steps into a 64-entry queue, twice back to back, then a plain
+  // submit that must wait for queue space like any other.
+  std::vector<bitvector> expected = values;
+  std::vector<bulk_step> first = random_program(v, 150, 21, expected);
+  std::vector<bulk_step> second = random_program(v, 150, 22, expected);
+  request_future f1 = client.submit_program(first, {v[0], v[3]});
+  request_future f2 = client.submit_program(second, {v[1], v[2]});
+  request_future f3 =
+      client.submit_bulk(dram::bulk_op::xor_op, v[0], &v[1], v[3]);
+  EXPECT_EQ(f1.get().reports.size(), 150u);
+  EXPECT_EQ(f2.get().outputs[0], expected[1]);
+  EXPECT_EQ(f2.get().outputs[1], expected[2]);
+  f3.get();
+  EXPECT_EQ(client.read(v[3]), expected[0] ^ expected[1]);
+  svc.stop();
+  EXPECT_EQ(svc.stats().requests_failed, 0u);
 }
 
 TEST(ServiceSessionTest, SessionsSpreadAndClientsSeeTheirShard) {
