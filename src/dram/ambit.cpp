@@ -264,14 +264,8 @@ void ambit_engine::write_vector(const bulk_vector& v, const bitvector& data) {
   if (data.size() != v.size) {
     throw std::invalid_argument("write_vector: size mismatch");
   }
-  const bits row_bits = mem_.org().row_bits();
   for (std::size_t r = 0; r < v.rows.size(); ++r) {
-    bitvector& row = mem_.row(v.rows[r]);
-    for (std::size_t i = 0; i < row_bits; ++i) {
-      const std::size_t bit = r * row_bits + i;
-      if (bit >= data.size()) break;
-      row.set(i, data.get(bit));
-    }
+    mem_.write_row_slice(v.rows[r], data, r);
   }
 }
 

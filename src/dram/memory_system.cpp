@@ -129,6 +129,17 @@ bool memory_system::row_materialized(const address& a) const {
   return rows_.count(row_key(a)) != 0;
 }
 
+void memory_system::write_row_slice(const address& a, const bitvector& data,
+                                    std::size_t row_index) {
+  const bits row_bits = org_.row_bits();
+  bitvector& dst = row(a);
+  for (std::size_t i = 0; i < row_bits; ++i) {
+    const std::size_t bit = row_index * row_bits + i;
+    if (bit >= data.size()) break;
+    dst.set(i, data.get(bit));
+  }
+}
+
 dram_energy compute_dram_energy(const counter_set& c, const organization& org,
                                 picoseconds elapsed, double io_pj_per_bit,
                                 double background_mw_per_rank) {

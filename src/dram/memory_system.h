@@ -80,6 +80,13 @@ class memory_system {
   const bitvector& row_or_zero(const address& a) const;
   bool row_materialized(const address& a) const;
 
+  /// Writes `data`'s row_index-th row-sized slice into row `a`; row
+  /// bits past the end of `data` are left as they were. The one write
+  /// path of the bulk-vector row packing (ambit_engine::read_vector
+  /// gathers the same slices back).
+  void write_row_slice(const address& a, const bitvector& data,
+                       std::size_t row_index);
+
   /// Flat identity of a (channel, rank, bank, row) — the key the row
   /// store indexes by; also what a scheduler tracks hazards against.
   std::uint64_t row_key(const address& a) const;

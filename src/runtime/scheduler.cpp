@@ -546,6 +546,17 @@ void scheduler::tick() {
 
 bool scheduler::idle() const { return outstanding_ == 0 && mem_.idle(); }
 
+bool scheduler::row_in_flight(std::uint64_t key) const {
+  const auto writer = last_writer_.find(key);
+  if (writer != last_writer_.end() && active_.count(writer->second) != 0) {
+    return true;
+  }
+  const auto readers = readers_.find(key);
+  if (readers == readers_.end()) return false;
+  return std::any_of(readers->second.begin(), readers->second.end(),
+                     [this](task_id t) { return active_.count(t) != 0; });
+}
+
 cycles scheduler::next_event() const {
   // Executor runs expire at the first tick whose clock reaches their
   // deadline; the memory system reports its own next event.

@@ -108,6 +108,22 @@ class scheduler {
   /// True when no task is pending, in flight, or queued on an executor.
   bool idle() const;
 
+  /// Tasks submitted and not yet complete.
+  std::size_t outstanding() const { return outstanding_; }
+
+  /// True when some submitted, not yet complete task reads or writes
+  /// row `key`. The hazard tables answer it exactly: a writer clears a
+  /// row's reader list only after taking a WAR dependency on every
+  /// reader still active, so while such a reader runs, that writer (or
+  /// a later one ordered behind it by WAW) is active and is the row's
+  /// last writer.
+  bool row_in_flight(std::uint64_t key) const;
+
+  /// Row keys `task` reads and writes — the rows its hazards are
+  /// tracked on. Appends; `reads` and `writes` may be the same vector.
+  void collect_rows(const pim_task& task, std::vector<std::uint64_t>& reads,
+                    std::vector<std::uint64_t>& writes) const;
+
   /// The one time-advance loop: advances event by event until `done()`
   /// holds or `limit` cycles have elapsed, and returns the cycles
   /// advanced. `done` is checked before each event, as a per-cycle
@@ -168,8 +184,6 @@ class scheduler {
   };
 
   void validate(const pim_task& task, backend_kind where) const;
-  void collect_rows(const pim_task& task, std::vector<std::uint64_t>& reads,
-                    std::vector<std::uint64_t>& writes) const;
   task_id pop_ready(executor_pool& pool);
   void release(task_id id);
   void start_on_executor(executor_pool& pool, task_id id);

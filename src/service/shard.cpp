@@ -91,6 +91,15 @@ shard::shard(int index, const core::pim_system_config& system_config,
       }
     }
   }
+  // Every transfer is priced: a PSM copy needs a wire partner in
+  // another (rank, bank) of the target's channel.
+  for (int c = 0; c < org.channels; ++c) {
+    if (covered[c].size() < 2) {
+      throw std::invalid_argument(
+          "shard: every channel needs wire rows in two (rank, bank) pairs "
+          "to price transfers");
+    }
+  }
 }
 
 shard::~shard() { stop(); }
@@ -323,15 +332,9 @@ void shard::forward_backlog(session_id id, std::deque<request> backlog) {
     session_state& s = it->second;
     if (s.queue.empty()) s.pass = std::max(s.pass, virtual_pass_);
     total_queued_ += backlog.size();
-    // A program's steps are contiguous in the FIFO: count it once.
-    const program_run* last = nullptr;
-    for (request& r : backlog) {
-      const auto* args = std::get_if<run_task_args>(&r.payload);
-      const program_run* run = args != nullptr ? args->program.get() : nullptr;
-      if (run == nullptr || run != last) ++stats_.requests_enqueued;
-      last = run;
-      s.queue.push_back(std::move(r));
-    }
+    // Not counted into requests_enqueued: the source shard counted
+    // each request when it admitted it.
+    for (request& r : backlog) s.queue.push_back(std::move(r));
     stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
   }
   cv_worker_.notify_one();
@@ -410,6 +413,8 @@ bool shard::pop_next_locked(request& out) {
 void shard::run() {
   obs::tracer::instance().name_thread(
       "pim-service", "shard " + std::to_string(index_) + " worker");
+  const runtime::scheduler& sched = sys_.runtime().sched();
+  const auto max_inflight = static_cast<std::size_t>(config_.max_inflight);
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
     // On-demand publish: a stats() caller is waiting for counters that
@@ -425,7 +430,7 @@ void shard::run() {
     if (weights_dirty_) apply_weights_locked();
     request req;
     bool have = false;
-    if (inflight_tasks_ < config_.max_inflight) {
+    if (sched.outstanding() < max_inflight) {
       have = pop_next_locked(req);
     }
     if (have) {
@@ -454,7 +459,7 @@ void shard::run() {
       } else if (result == exec_result::park_token) {
         waiting_on_token_.push_back(std::move(req));
       }
-    } else if (inflight_tasks_ > 0) {
+    } else if (sched.outstanding() > 0) {
       // Queue drained (or admission-capped): advance simulated time so
       // in-flight tasks make progress toward completion.
       lock.unlock();
@@ -516,15 +521,15 @@ void shard::translate_task(session_id owner, runtime::pim_task& task) const {
   }
 }
 
-bool shard::has_hazard(const dram::bulk_vector& phys) const {
-  for (const dram::address& a : phys.rows) {
-    if (busy_rows_.count(sys_.memory().row_key(a)) != 0) return true;
-  }
-  return false;
-}
-
 void shard::drain_if_hazard(const dram::bulk_vector& phys) {
-  if (!has_hazard(phys)) return;
+  const runtime::scheduler& sched = sys_.runtime().sched();
+  const dram::memory_system& mem = sys_.memory();
+  if (std::none_of(phys.rows.begin(), phys.rows.end(),
+                   [&](const dram::address& a) {
+                     return sched.row_in_flight(mem.row_key(a));
+                   })) {
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.hazard_drains;
@@ -532,26 +537,19 @@ void shard::drain_if_hazard(const dram::bulk_vector& phys) {
   drain();
 }
 
-const dram::address* shard::wire_for(const dram::address& target) const {
-  auto it = wire_.find(target.channel);
-  if (it == wire_.end() || it->second.empty()) return nullptr;
+const dram::address& shard::wire_for(const dram::address& target) const {
   // Spread transfers across landing rows (offset from the target's own
   // bank) so independent rows' copies are not all funneled — and
-  // hazard-serialized — through one partner.
-  const std::size_t n = it->second.size();
+  // hazard-serialized — through one partner. The constructor put two
+  // (rank, bank) pairs on every channel, so a partner always exists.
+  const std::vector<dram::address>& rows = wire_.at(target.channel);
+  const std::size_t n = rows.size();
   const std::size_t start = static_cast<std::size_t>(target.bank + 1) % n;
   for (std::size_t i = 0; i < n; ++i) {
-    const dram::address& w = it->second[(start + i) % n];
-    if (w.rank != target.rank || w.bank != target.bank) return &w;
+    const dram::address& w = rows[(start + i) % n];
+    if (w.rank != target.rank || w.bank != target.bank) return w;
   }
-  return nullptr;
-}
-
-void shard::track_row(std::uint64_t key) { ++busy_rows_[key]; }
-
-void shard::untrack_row(std::uint64_t key) {
-  auto it = busy_rows_.find(key);
-  if (it != busy_rows_.end() && --it->second <= 0) busy_rows_.erase(it);
+  throw std::logic_error("shard: no wire partner");
 }
 
 void shard::bump_completed(bytes output) {
@@ -606,106 +604,45 @@ void shard::complete_tracked(session_id session,
   }
 }
 
-namespace {
-
-/// Applies `data`'s row_index-th row_bits-sized slice to a physical
-/// row — the packing ambit_engine::write_vector uses, and the inverse
-/// of the bitvector::copy_bits gather in read_vector and exec_read.
-void write_row_slice(dram::memory_system& mem, const dram::address& phys,
-                     const bitvector& data, std::size_t row_index) {
-  const bits row_bits = mem.org().row_bits();
-  bitvector& row = mem.row(phys);
-  for (std::size_t i = 0; i < row_bits; ++i) {
-    const std::size_t bit = row_index * row_bits + i;
-    if (bit >= data.size()) break;
-    row.set(i, data.get(bit));
-  }
-}
-
-/// Row keys a (translated) task touches — mirrors the scheduler's own
-/// hazard collection, for the shard's functional-op hazard signal.
-void collect_task_rows(const dram::memory_system& mem,
-                       const runtime::pim_task& task,
-                       std::vector<std::uint64_t>& keys) {
-  if (const auto* bulk =
-          std::get_if<runtime::bulk_bool_args>(&task.payload)) {
-    for (const dram::address& a : bulk->a.rows) keys.push_back(mem.row_key(a));
-    if (bulk->b) {
-      for (const dram::address& a : bulk->b->rows) {
-        keys.push_back(mem.row_key(a));
-      }
-    }
-    for (const dram::address& a : bulk->d.rows) keys.push_back(mem.row_key(a));
-  } else if (const auto* copy =
-                 std::get_if<runtime::row_copy_args>(&task.payload)) {
-    keys.push_back(mem.row_key(copy->src));
-    keys.push_back(mem.row_key(copy->dst));
-  } else if (const auto* ms =
-                 std::get_if<runtime::row_memset_args>(&task.payload)) {
-    keys.push_back(mem.row_key(ms->dst));
-  }
-}
-
-}  // namespace
-
 void shard::stage_row(session_id stream, const dram::address& phys,
                       std::shared_ptr<const bitvector> data,
                       std::size_t row_index,
-                      std::shared_ptr<transfer_group> group, bool track) {
-  const std::uint64_t key = sys_.memory().row_key(phys);
-  const dram::address* wire = wire_for(phys);
-  if (wire == nullptr) {
-    // Unpriceable organization (single bank+rank): the caller drained
-    // hazards up front; apply functionally right away.
-    write_row_slice(sys_.memory(), phys, *data, row_index);
-    if (group && --group->remaining == 0) group->finalize();
-    return;
-  }
+                      std::shared_ptr<transfer_group> group) {
   runtime::pim_task t;
-  t.payload = runtime::row_copy_args{*wire, phys, /*same_subarray=*/false};
+  t.payload = runtime::row_copy_args{wire_for(phys), phys,
+                                     /*same_subarray=*/false};
   t.forced_backend = runtime::backend_kind::rowclone;
   t.stream = static_cast<int>(stream);
   t.wire_hop = true;  // cross-shard transfer: exec time is `wire` state
   t.admit_ps = sys_.memory().now_ps();
-  t.on_complete = [this, phys, data, row_index, group, track,
-                   key](const runtime::task_report&) {
+  t.on_complete = [this, phys, data, row_index,
+                   group](const runtime::task_report&) {
     // The PSM copy just deposited the wire row's (meaningless) bits;
     // overwrite with the transfer's real payload before any
     // hazard-dependent successor is released.
-    write_row_slice(sys_.memory(), phys, *data, row_index);
-    if (track) untrack_row(key);
-    --inflight_tasks_;
+    sys_.memory().write_row_slice(phys, *data, row_index);
     if (group && --group->remaining == 0) group->finalize();
   };
   sys_.submit(std::move(t));
-  ++inflight_tasks_;
-  if (track) track_row(key);
 }
 
 void shard::export_row(session_id stream, const dram::address& phys,
                        std::shared_ptr<std::vector<bitvector>> rows,
                        std::size_t row_index,
                        std::shared_ptr<transfer_group> group) {
-  const std::uint64_t key = sys_.memory().row_key(phys);
-  const dram::address* wire = wire_for(phys);
-  // Callers fall back to the plain read path when unpriceable, so a
-  // wire partner exists here by construction.
   runtime::pim_task t;
-  t.payload = runtime::row_copy_args{phys, *wire, /*same_subarray=*/false};
+  t.payload = runtime::row_copy_args{phys, wire_for(phys),
+                                     /*same_subarray=*/false};
   t.forced_backend = runtime::backend_kind::rowclone;
   t.stream = static_cast<int>(stream);
   t.wire_hop = true;  // cross-shard transfer: exec time is `wire` state
   t.admit_ps = sys_.memory().now_ps();
-  t.on_complete = [this, phys, rows, row_index, group,
-                   key](const runtime::task_report&) {
+  t.on_complete = [this, phys, rows, row_index,
+                   group](const runtime::task_report&) {
     (*rows)[row_index] = sys_.memory().row_or_zero(phys);
-    untrack_row(key);
-    --inflight_tasks_;
     if (--group->remaining == 0) group->finalize();
   };
   sys_.submit(std::move(t));
-  ++inflight_tasks_;
-  track_row(key);
 }
 
 std::vector<dram::bulk_vector> shard::acquire_scratch(bits size, int count) {
@@ -938,23 +875,11 @@ void shard::exec_write(request& req, const write_args& args) {
 
 void shard::exec_read(request& req, const read_args& args) {
   const dram::bulk_vector phys = translate(req.session, args.v);
-  bool priceable = args.priced;
-  for (const dram::address& a : phys.rows) {
-    if (wire_for(a) == nullptr) priceable = false;
-  }
-  if (!priceable) {
+  if (!args.priced) {
     drain_if_hazard(phys);
     request_result res;
     res.data = sys_.read(phys);
-    if (args.priced) {
-      // Internal capture on an unpriceable organization: functional
-      // fallback, still not a client call — no latency sample.
-      complete(*req.completion, std::move(res));
-      bump_completed(0);
-    } else {
-      complete_tracked(req.session, req.completion, std::move(res), 0,
-                       "read");
-    }
+    complete_tracked(req.session, req.completion, std::move(res), 0, "read");
     return;
   }
   // RowClone-priced export: one PSM copy per row onto the wire rows;
@@ -1005,7 +930,7 @@ shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
   task.stream = static_cast<int>(req.session);
   task.flow = req.completion->flow;
   std::vector<std::uint64_t> keys;
-  collect_task_rows(sys_.memory(), task, keys);
+  sys_.runtime().sched().collect_rows(task, keys, keys);
   if (rows_reserved(keys, 0)) return exec_result::park_session;
   // The program outputs this step is the last to touch, translated
   // now so the capture at completion cannot fail.
@@ -1020,11 +945,9 @@ shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
   }
   auto completion = req.completion;
   const session_id session = req.session;
-  task.on_complete = [this, completion, keys, session, program = args.program,
+  task.on_complete = [this, completion, session, program = args.program,
                       step = args.step, captures = std::move(captures)](
                          const runtime::task_report& report) {
-    for (std::uint64_t key : keys) untrack_row(key);
-    --inflight_tasks_;
     --session_inflight_[session];
     if (program) {
       finish_program_step(session, completion, *program, step, report,
@@ -1037,9 +960,7 @@ shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
                      report.output_bytes, "run_task", &report);
   };
   sys_.submit(std::move(task));
-  ++inflight_tasks_;
   ++session_inflight_[session];
-  for (std::uint64_t key : keys) track_row(key);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.tasks_submitted;
   return exec_result::done;
@@ -1098,21 +1019,12 @@ shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
   // paper's point — RowClone makes moving operands to the compute
   // site cheap, so the op can always run in-DRAM.
   std::vector<dram::bulk_vector> scratch = acquire_scratch(size, count);
-  bool priceable = true;
-  for (const dram::bulk_vector& v : scratch) {
-    for (const dram::address& a : v.rows) {
-      if (wire_for(a) == nullptr) priceable = false;
-    }
-  }
-  if (!priceable) drain();  // unpriceable fallback stages functionally
   for (std::size_t i = 0; i < scratch[0].rows.size(); ++i) {
-    stage_row(req.session, scratch[0].rows[i], da, i, nullptr,
-              /*track=*/false);
+    stage_row(req.session, scratch[0].rows[i], da, i, nullptr);
   }
   if (db) {
     for (std::size_t i = 0; i < scratch[1].rows.size(); ++i) {
-      stage_row(req.session, scratch[1].rows[i], db, i, nullptr,
-                /*track=*/false);
+      stage_row(req.session, scratch[1].rows[i], db, i, nullptr);
     }
   }
 
@@ -1133,7 +1045,6 @@ shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
                        const runtime::task_report& report) mutable {
     bitvector out = sys_.read(scratch_d);
     release_scratch(size, std::move(scratch));
-    --inflight_tasks_;
     bump_completed(0);  // this shard's part of the plan is done
     // Phase three: land the result in the destination owner's vector
     // (possibly on another shard) with RowClone pricing. The write-back
@@ -1147,7 +1058,6 @@ shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
     d_shard->enqueue_control(std::move(wb));
   };
   sys_.submit(std::move(ct));
-  ++inflight_tasks_;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.tasks_submitted;
@@ -1172,22 +1082,8 @@ shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
 
 void shard::exec_stage_in(request& req, stage_in_args& args) {
   const dram::bulk_vector phys = translate(args.owner, args.v);
-  bool priceable = true;
-  for (const dram::address& a : phys.rows) {
-    if (wire_for(a) == nullptr) priceable = false;
-  }
   auto completion = req.completion;
   const session_id session = req.session;
-  if (!priceable) {
-    drain_if_hazard(phys);
-    sys_.write(phys, args.data);
-    request_result res;
-    res.report = args.report;
-    complete_tracked(session, completion, std::move(res), 0, "stage_in");
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.staged_bytes += phys.size / 8;
-    return;
-  }
   auto data = std::make_shared<const bitvector>(std::move(args.data));
   auto group = std::make_shared<transfer_group>();
   group->remaining = static_cast<int>(phys.rows.size());
@@ -1203,7 +1099,7 @@ void shard::exec_stage_in(request& req, stage_in_args& args) {
     }
   };
   for (std::size_t i = 0; i < phys.rows.size(); ++i) {
-    stage_row(args.owner, phys.rows[i], data, i, group, /*track=*/true);
+    stage_row(args.owner, phys.rows[i], data, i, group);
   }
 }
 
@@ -1219,7 +1115,6 @@ void shard::exec_install(request& req, install_args& args) {
     std::shared_ptr<const bitvector> data;
   };
   std::vector<staged_vec> staged;
-  bool priceable = true;
   for (const auto& group : args.groups) {
     if (group.empty()) continue;
     const std::vector<dram::bulk_vector> phys =
@@ -1227,7 +1122,6 @@ void shard::exec_install(request& req, install_args& args) {
     for (std::size_t k = 0; k < group.size(); ++k) {
       for (std::size_t i = 0; i < group[k].rows.size(); ++i) {
         map[group[k].rows[i].row] = phys[k].rows[i];
-        if (wire_for(phys[k].rows[i]) == nullptr) priceable = false;
       }
       if (flat >= args.data.size()) {
         throw std::logic_error("install: data/groups mismatch");
@@ -1239,7 +1133,6 @@ void shard::exec_install(request& req, install_args& args) {
     }
   }
   auto completion = req.completion;
-  if (!priceable) drain();
   auto group_state = std::make_shared<transfer_group>();
   int rows_total = 0;
   for (const staged_vec& sv : staged) {
@@ -1263,8 +1156,7 @@ void shard::exec_install(request& req, install_args& args) {
   }
   for (const staged_vec& sv : staged) {
     for (std::size_t i = 0; i < sv.phys.rows.size(); ++i) {
-      stage_row(args.session, sv.phys.rows[i], sv.data, i, group_state,
-                /*track=*/true);
+      stage_row(args.session, sv.phys.rows[i], sv.data, i, group_state);
     }
   }
 }
@@ -1315,7 +1207,7 @@ void shard::publish_stats_locked() {
   const runtime::scheduler_stats& sched = stats_.runtime.sched;
   const std::int64_t values[gauge_count] = {
       static_cast<std::int64_t>(total_queued_),
-      inflight_tasks_.load(std::memory_order_relaxed),
+      static_cast<std::int64_t>(sys_.runtime().sched().outstanding()),
       stats_.sessions,
       static_cast<std::int64_t>(sched.avg_busy_banks() * 1000.0),
       static_cast<std::int64_t>(sched.ticks),

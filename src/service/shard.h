@@ -19,10 +19,18 @@
 // Popped run_task requests are submitted to the shard's asynchronous
 // runtime and overlap across banks; their client futures complete
 // through per-task callbacks at the simulated completion instant.
-// Functional requests (allocate / write / read) are hazard-checked at
-// row granularity: the worker drains the runtime only when a request
-// actually touches a row with an in-flight task, so independent
-// sessions' metadata ops no longer serialize everyone's compute.
+// Functional requests (write / plain read) are hazard-checked at row
+// granularity on the runtime's own row-hazard tables
+// (scheduler::row_in_flight): the worker drains the runtime only when
+// a request touches a row some in-flight task touches, so independent
+// sessions' metadata ops do not serialize everyone's compute. The
+// worker's inflight window is the scheduler's outstanding() count.
+//
+// Every byte that crosses a shard boundary (cross-shard staging,
+// write-backs, migration capture and install) is priced as RowClone
+// PSM row copies against per-channel wire rows, so a shard needs two
+// (rank, bank) pairs on every channel; the constructor throws
+// std::invalid_argument for a smaller organization.
 //
 // Thread-safety contract: the worker thread is the only code that
 // touches sys_ (and the worker-only members below) after start();
@@ -222,18 +230,17 @@ class shard {
   dram::bulk_vector translate(session_id owner,
                               const dram::bulk_vector& v) const;
   void translate_task(session_id owner, runtime::pim_task& task) const;
-  bool has_hazard(const dram::bulk_vector& phys) const;
+  /// Drains the runtime if any in-flight task touches one of `phys`'s
+  /// rows.
   void drain_if_hazard(const dram::bulk_vector& phys);
   /// A wire row on `target`'s channel usable as the PSM partner
-  /// (different bank/rank); nullptr when the organization is too small
-  /// to price transfers.
-  const dram::address* wire_for(const dram::address& target) const;
+  /// (different bank/rank).
+  const dram::address& wire_for(const dram::address& target) const;
   /// Submits one PSM-priced landing copy: wire -> row, with `data`'s
   /// row_index-th slice applied at the copy's completion instant.
-  /// Falls back to an immediate functional write when unpriceable.
   void stage_row(session_id stream, const dram::address& phys,
                  std::shared_ptr<const bitvector> data, std::size_t row_index,
-                 std::shared_ptr<transfer_group> group, bool track);
+                 std::shared_ptr<transfer_group> group);
   /// Submits one PSM-priced export copy: row -> wire, with the row's
   /// bits captured into `rows` at the copy's completion instant.
   void export_row(session_id stream, const dram::address& phys,
@@ -242,8 +249,6 @@ class shard {
                   std::shared_ptr<transfer_group> group);
   std::vector<dram::bulk_vector> acquire_scratch(bits size, int count);
   void release_scratch(bits size, std::vector<dram::bulk_vector> group);
-  void track_row(std::uint64_t key);
-  void untrack_row(std::uint64_t key);
   void bump_completed(bytes output);
   /// Completes a client-visible request and charges its
   /// submit→complete latency to the session's histogram in one stats
@@ -323,9 +328,6 @@ class shard {
   /// Per-session translation: virtual row id -> physical row address.
   std::unordered_map<session_id, std::unordered_map<int, dram::address>>
       remap_;
-  /// Rows with an in-flight runtime task — the row-granular hazard
-  /// signal functional ops drain on (value = pending task count).
-  std::unordered_map<std::uint64_t, int> busy_rows_;
   /// Reusable co-located scratch groups for cross-shard staging,
   /// keyed by vector size (the allocator cannot free, so plans
   /// recycle instead of leaking capacity).
@@ -334,11 +336,6 @@ class shard {
   /// Per-channel landing rows in >= 2 distinct banks: the PSM partners
   /// that price inter-shard transfers on this shard's clock.
   std::map<int, std::vector<dram::address>> wire_;
-  /// Runtime tasks in flight. Written only by the worker thread, but
-  /// atomic so stats() can refresh the inflight gauge from any thread
-  /// without taking the worker's locks (relaxed everywhere: the gauge
-  /// is a monitoring sample, not a synchronization edge).
-  std::atomic<int> inflight_tasks_{0};
   /// Relaxed mirror of the shard's simulated clock, published by the
   /// worker after each tick slice. Client threads stamp run_task
   /// admission (task.admit_ps) from it at enqueue time; it can lag —
@@ -347,7 +344,8 @@ class shard {
   /// stays exact regardless of mirror staleness.
   std::atomic<picoseconds> sim_now_ps_{0};
   /// Per-session runtime tasks in flight (worker-thread data, read by
-  /// pop_next_locked on the same thread).
+  /// pop_next_locked on the same thread). The scheduler counts only
+  /// its total, so the per-session cap keeps this one count.
   std::unordered_map<session_id, int> session_inflight_;
   /// Active write-back reservations: token -> reserved row keys, plus
   /// the per-row token lists requests are checked against.

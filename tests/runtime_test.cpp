@@ -252,6 +252,108 @@ TEST(SchedulerTest, InvalidTaskRejectedWithoutCorruptingState) {
   EXPECT_TRUE(sys.runtime().idle());
 }
 
+TEST(SchedulerTest, RowInFlightMatchesScanOfIncompleteTasks) {
+  // row_in_flight answers from the hazard tables alone; the reference
+  // scans every submitted, not yet complete task. Back-to-back submits
+  // over a few shared rows hit RAW, WAW and WAR — including writers
+  // that clear a reader from the table while that reader still runs.
+  core::pim_system sys(small_config());
+  scheduler& sched = sys.runtime().sched();
+  const dram::memory_system& mem = sys.memory();
+  std::vector<std::vector<dram::bulk_vector>> groups;
+  for (int g = 0; g < 2; ++g) {
+    groups.push_back(sys.allocate(2 * sys.org().row_bits(), 4));
+  }
+  std::vector<std::uint64_t> keys;
+  for (const auto& group : groups) {
+    for (const dram::bulk_vector& v : group) {
+      for (const dram::address& a : v.rows) keys.push_back(mem.row_key(a));
+    }
+  }
+
+  struct tracked {
+    task_future future;
+    std::vector<std::uint64_t> reads, writes;
+  };
+  auto touches = [](const std::vector<std::uint64_t>& rows,
+                    std::uint64_t key) {
+    return std::find(rows.begin(), rows.end(), key) != rows.end();
+  };
+  std::vector<tracked> incomplete;
+  int mismatches = 0;
+  auto check = [&] {
+    std::erase_if(incomplete,
+                  [](const tracked& t) { return t.future.ready(); });
+    for (std::uint64_t key : keys) {
+      const bool expected =
+          std::any_of(incomplete.begin(), incomplete.end(),
+                      [&](const tracked& t) {
+                        return touches(t.reads, key) ||
+                               touches(t.writes, key);
+                      });
+      if (sched.row_in_flight(key) != expected) ++mismatches;
+    }
+  };
+
+  rng gen(47);
+  int raw = 0, waw = 0, war = 0;
+  const dram::bulk_op ops[] = {dram::bulk_op::and_op, dram::bulk_op::or_op,
+                               dram::bulk_op::xor_op, dram::bulk_op::not_op};
+  for (int i = 0; i < 80; ++i) {
+    const auto& group = groups[gen.next_below(groups.size())];
+    auto pick = [&]() -> const dram::bulk_vector& {
+      return group[gen.next_below(group.size())];
+    };
+    pim_task task;
+    tracked t;
+    if (gen.next_below(5) == 0) {
+      const dram::address& dst = pick().rows[gen.next_below(2)];
+      task.payload = row_memset_args{dst, gen.next_below(2) == 0};
+      t.writes.push_back(mem.row_key(dst));
+    } else {
+      const dram::bulk_op op = ops[gen.next_below(std::size(ops))];
+      const dram::bulk_vector& a = pick();
+      std::optional<dram::bulk_vector> b;
+      if (op != dram::bulk_op::not_op) b = pick();
+      const dram::bulk_vector& d = pick();
+      for (const dram::address& r : a.rows) t.reads.push_back(mem.row_key(r));
+      if (b) {
+        for (const dram::address& r : b->rows) {
+          t.reads.push_back(mem.row_key(r));
+        }
+      }
+      for (const dram::address& r : d.rows) t.writes.push_back(mem.row_key(r));
+      task.payload = bulk_bool_args{op, a, b, d};
+    }
+    for (const tracked& prior : incomplete) {
+      for (std::uint64_t key : t.reads) raw += touches(prior.writes, key);
+      for (std::uint64_t key : t.writes) {
+        waw += touches(prior.writes, key);
+        war += touches(prior.reads, key);
+      }
+    }
+    t.future = sys.submit(std::move(task));
+    incomplete.push_back(std::move(t));
+    check();
+    // A few ticks between some submits, so tasks complete mid-stream.
+    for (std::uint64_t k = gen.next_below(4); k > 0; --k) {
+      sched.tick();
+      check();
+    }
+  }
+  for (int ticks = 0; !sched.idle() && ticks < 10'000'000; ++ticks) {
+    sched.tick();
+    check();
+  }
+  EXPECT_TRUE(sched.idle());
+  EXPECT_TRUE(incomplete.empty());
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(raw, 0);
+  EXPECT_GT(waw, 0);
+  EXPECT_GT(war, 0);
+  for (std::uint64_t key : keys) EXPECT_FALSE(sched.row_in_flight(key));
+}
+
 // ---------------------------------------------------------------------------
 // Stream weights (fair share)
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 
 #include "common/digest.h"
 #include "service/synthetic.h"
@@ -92,6 +93,16 @@ TEST(ShardRouterTest, RejectsInvalidConfig) {
   EXPECT_THROW(shard_router(0), std::invalid_argument);
   EXPECT_THROW(shard_router(2, shard_routing::range, 0),
                std::invalid_argument);
+}
+
+TEST(ServiceConfigTest, RejectsOrganizationThatCannotPriceTransfers) {
+  // Every cross-shard byte is priced as a RowClone PSM copy, whose wire
+  // partner must sit in another (rank, bank) of the same channel: one
+  // rank of one bank leaves no partner.
+  service_config cfg = small_service(2);
+  cfg.system.org.ranks = 1;
+  cfg.system.org.banks = 1;
+  EXPECT_THROW(pim_service svc(cfg), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -801,6 +812,54 @@ TEST(ServiceMigrationTest, RepeatedMigrationDoesNotExhaustCapacity) {
   svc.stop();
   EXPECT_EQ(svc.stats().migrations, 120u);
   EXPECT_EQ(svc.stats().requests_failed, 0u);
+}
+
+TEST(ServiceMigrationTest, ForwardedBacklogIsCountedOnce) {
+  // A migrated session's unexecuted backlog is forwarded to its new
+  // shard. The source shard counted those requests when it admitted
+  // them, so service-wide every enqueued request completes or fails
+  // exactly once. Each backlog is queued under pause and the shards
+  // resume only once migration has detached it, so every trip forwards
+  // the whole backlog.
+  pim_service svc(two_shard_range());
+  svc.start();
+  service_client c(svc);
+  ASSERT_EQ(c.shard_index(), 0);
+  const bits size = 2'000;
+  auto v = c.allocate(size, 3);
+  rng gen(73);
+  const bitvector a = bitvector::random(size, gen);
+  const bitvector b = bitvector::random(size, gen);
+  c.write(v[0], a);
+  c.write(v[1], b);
+  const int trips = 3;
+  const std::size_t backlog = 6;
+  for (int trip = 0; trip < trips; ++trip) {
+    const int from = c.shard_index();
+    svc.pause();
+    for (std::size_t k = 0; k < backlog; ++k) {
+      c.submit_bulk(dram::bulk_op::xor_op, v[0], &v[1], v[2]);
+    }
+    std::vector<std::pair<session_id, std::size_t>> queued =
+        svc.shard_at(from).session_backlogs();
+    ASSERT_EQ(queued.size(), 1u);
+    ASSERT_EQ(queued[0].second, backlog);
+    std::thread mover([&] { svc.migrate_session(c.id(), 1 - from); });
+    while (!svc.shard_at(from).session_backlogs().empty()) {
+      std::this_thread::yield();
+    }
+    svc.resume();
+    mover.join();
+    EXPECT_EQ(c.shard_index(), 1 - from);
+    c.wait_all();
+  }
+  EXPECT_EQ(c.read(v[2]), a ^ b);
+  svc.stop();
+  const service_stats stats = svc.stats();
+  EXPECT_EQ(stats.migrations, static_cast<std::uint64_t>(trips));
+  EXPECT_EQ(stats.requests_failed, 0u);
+  EXPECT_EQ(stats.requests_enqueued,
+            stats.requests_completed + stats.requests_failed);
 }
 
 TEST(ServiceStatsTest, TracksPerSessionLatencyPercentiles) {
