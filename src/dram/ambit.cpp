@@ -63,6 +63,19 @@ std::vector<bulk_vector> ambit_allocator::allocate_group(bits size,
            freed_[u].size();
   };
 
+  // Every slot taken so far, oldest first: (unit, slot, recycled?).
+  // A group that does not fit puts them back newest first, which
+  // restores each unit's free list and fresh tail exactly, so a failed
+  // call leaves the allocator — cursor included — as it found it.
+  struct taken_slot {
+    std::size_t unit;
+    int slot;
+    bool recycled;
+  };
+  std::vector<taken_slot> taken;
+  taken.reserve(rows_needed * static_cast<std::size_t>(count));
+  const std::size_t start_cursor = cursor_;
+
   for (std::size_t i = 0; i < rows_needed; ++i) {
     // Find the next stripe unit with `count` free slots.
     std::size_t tried = 0;
@@ -73,6 +86,14 @@ std::vector<bulk_vector> ambit_allocator::allocate_group(bits size,
     }
     if (tried == next_slot_.size() &&
         capacity(cursor_) < static_cast<std::size_t>(count)) {
+      for (auto t = taken.rbegin(); t != taken.rend(); ++t) {
+        if (t->recycled) {
+          freed_[t->unit].push_back(t->slot);
+        } else {
+          --next_slot_[t->unit];
+        }
+      }
+      cursor_ = start_cursor;
       throw std::runtime_error("ambit_allocator: out of subarray capacity");
     }
     // Decompose the flat unit id into coordinates. The bank digit
@@ -91,12 +112,14 @@ std::vector<bulk_vector> ambit_allocator::allocate_group(bits size,
     std::vector<int>& recycled = freed_[cursor_];
     for (int k = 0; k < count; ++k) {
       int slot;
-      if (!recycled.empty()) {
+      const bool reuse = !recycled.empty();
+      if (reuse) {
         slot = recycled.back();
         recycled.pop_back();
       } else {
         slot = next_slot_[cursor_]++;
       }
+      taken.push_back({cursor_, slot, reuse});
       address a;
       a.channel = channel;
       a.rank = rank;

@@ -214,12 +214,13 @@ double pim_service::session_weight(session_id id) const {
   return it->second.weight;
 }
 
-request_future pim_service::route(request& r) {
-  // Retry-on-moved loop: while the session is mid-migration the
-  // request waits on migrate_cv_ (only this session's traffic stalls —
-  // migration holds the service-wide gate just for its brief
-  // detach window, not for the copy itself).
-  for (int attempts = 0;; ++attempts) {
+std::optional<request_future> pim_service::route(request& r,
+                                                 when_migrating mode) {
+  // Retry-on-moved loop. A waiting request stalls only this session's
+  // traffic: migration holds the service-wide gate just for its brief
+  // detach window, not for the copy itself.
+  constexpr int max_moved_retries = 1000;
+  for (int moved = 0; moved <= max_moved_retries;) {
     shard* s = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -227,7 +228,8 @@ request_future pim_service::route(request& r) {
       if (it == sessions_.end()) {
         throw std::invalid_argument("pim_service: unknown session");
       }
-      if (it->second.migrating) {
+      if (it->second.migrating && mode != when_migrating::ignore) {
+        if (mode == when_migrating::reject) return std::nullopt;
         migrate_cv_.wait(lock, [&] {
           auto it2 = sessions_.find(r.session);
           return it2 == sessions_.end() || !it2->second.migrating;
@@ -237,41 +239,16 @@ request_future pim_service::route(request& r) {
       s = shards_[static_cast<std::size_t>(it->second.shard)].get();
     }
     try {
-      return s->enqueue_move(r);
+      return s->enqueue(r, mode == when_migrating::reject ? on_full::reject
+                                                           : on_full::wait);
     } catch (const session_moved_error&) {
-      if (attempts > 1000) {
-        // Moved but never re-homed: a migration died mid-flight
-        // (service shutdown). Fail rather than spin forever.
-        throw std::runtime_error("pim_service: session unavailable");
-      }
-      continue;
+      ++moved;
     }
   }
-}
-
-request_future pim_service::route_pinned(request& r) {
-  // Variant for requests issued inside a cross-shard plan, whose
-  // sessions the plan has pinned: migration cannot proceed past its
-  // pin-quiesce while the pin is held, so waiting on the migrating
-  // flag here would deadlock against a migration waiting on our pin.
-  // The home shard is stable for the same reason.
-  for (;;) {
-    shard* s = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = sessions_.find(r.session);
-      if (it == sessions_.end()) {
-        throw std::invalid_argument("pim_service: unknown session");
-      }
-      s = shards_[static_cast<std::size_t>(it->second.shard)].get();
-    }
-    try {
-      return s->enqueue_move(r);
-    } catch (const session_moved_error&) {
-      // Unreachable while pinned (no detach can run); retry defensively.
-      continue;
-    }
-  }
+  // Moved but never re-homed: a migration died mid-flight (service
+  // shutdown). Fail rather than spin forever.
+  if (mode == when_migrating::reject) return std::nullopt;
+  throw std::runtime_error("pim_service: session unavailable");
 }
 
 std::vector<dram::bulk_vector> pim_service::allocate(session_id session,
@@ -304,8 +281,8 @@ std::vector<dram::bulk_vector> pim_service::allocate(session_id session,
   request r;
   r.session = session;
   r.payload = allocate_args{size, count, base};
-  request_future f = route_pinned(r);
-  std::vector<dram::bulk_vector> vectors = f.get().vectors;
+  std::vector<dram::bulk_vector> vectors =
+      route(r, when_migrating::ignore)->get().vectors;
   {
     std::lock_guard<std::mutex> lock(mu_);
     sessions_.at(session).groups.push_back(vectors);
@@ -325,7 +302,7 @@ request_future pim_service::submit(request r) {
   const std::uint64_t flow = r.completion ? r.completion->flow : 0;
   obs::span sp("submit", "client", flow);
   if (minted) obs::emit_flow_begin(flow, "request", "client");
-  return route(r);
+  return *route(r, when_migrating::wait);
 }
 
 std::optional<request_future> pim_service::try_submit(request r) {
@@ -334,26 +311,9 @@ std::optional<request_future> pim_service::try_submit(request r) {
     r.completion->flow = obs::new_flow();
     obs::emit_flow_begin(r.completion->flow, "request", "client");
   }
-  for (int attempts = 0; attempts <= 1000; ++attempts) {
-    shard* s = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = sessions_.find(r.session);
-      if (it == sessions_.end()) {
-        throw std::invalid_argument("pim_service: unknown session");
-      }
-      // Non-blocking contract: a mid-migration session reads as
-      // backpressure, not as something to wait out.
-      if (it->second.migrating) return std::nullopt;
-      s = shards_[static_cast<std::size_t>(it->second.shard)].get();
-    }
-    try {
-      return s->try_enqueue_move(r);
-    } catch (const session_moved_error&) {
-      continue;
-    }
-  }
-  return std::nullopt;  // torn migration (service shutdown)
+  // Non-blocking contract: a mid-migration session reads as
+  // backpressure, not as something to wait out.
+  return route(r, when_migrating::reject);
 }
 
 std::shared_ptr<void> pim_service::pin_sessions_locked(
@@ -417,7 +377,7 @@ request_future pim_service::submit_cross(session_id issuer, dram::bulk_op op,
     r.completion = std::move(completion);
     r.payload = run_task_args{
         runtime::make_bulk_task(op, a.v, b != nullptr ? &b->v : nullptr, d.v)};
-    return route(r);
+    return *route(r, when_migrating::wait);
   }
 
   // Resolve placements and pin every involved session (owners +
@@ -507,7 +467,7 @@ request_future pim_service::submit_cross(session_id issuer, dram::bulk_op op,
     request res;
     res.session = d.owner;
     res.payload = reserve_args{token, d.v};
-    route_pinned(res);
+    route(res, when_migrating::ignore);
   }
 
   try {
@@ -521,7 +481,7 @@ request_future pim_service::submit_cross(session_id issuer, dram::bulk_op op,
       request r;
       r.session = sv.owner;
       r.payload = read_args{sv.v, /*priced=*/true, token};
-      return route_pinned(r);
+      return *route(r, when_migrating::ignore);
     };
     request_future fa = fetch(a);
     std::optional<request_future> fb;
@@ -554,7 +514,7 @@ request_future pim_service::submit_cross(session_id issuer, dram::bulk_op op,
     sr.token = token;
     sr.guard = std::move(guard);
     r.payload = std::move(sr);
-    return exec_shard->enqueue_move(r);
+    return *exec_shard->enqueue(r, on_full::wait);
   } catch (...) {
     // The plan died before a write-back could clear the reservation —
     // release it so the destination owner's queue does not stall.
@@ -648,8 +608,8 @@ void pim_service::migrate_session(session_id session, int shard_index) {
 
     // Install on the destination and wait for it to land BEFORE
     // committing anything irreversible: if the destination cannot host
-    // the data (allocator exhaustion — migrated-away rows are never
-    // reclaimed), the session must roll back to its source intact.
+    // the data (its allocator is out of co-located capacity), the
+    // session must roll back to its source intact.
     // The install is enqueued (control channel, popped before any
     // session traffic) before the session is registered: a stale
     // client enqueue racing a migrate-back must never find the session
@@ -662,8 +622,13 @@ void pim_service::migrate_session(session_id session, int shard_index) {
     try {
       installed.get();
     } catch (...) {
-      // Roll back: revive the session on the source (its remap is
-      // untouched — no forget was sent) and return the backlog.
+      // Roll back. A failed install returned the rows it took and left
+      // no translation on the destination; unregister the session
+      // there too (keeping anything a stale enqueue slipped into its
+      // queue), then revive it on the source — its remap is untouched,
+      // no forget was sent — with its backlog.
+      detached_session stray = dst.detach_session(session);
+      for (request& r : stray.backlog) det.backlog.push_back(std::move(r));
       src.register_session(session, det.weight);
       src.forward_backlog(session, std::move(det.backlog));
       throw;
@@ -673,9 +638,9 @@ void pim_service::migrate_session(session_id session, int shard_index) {
     // futures intact (the install's staged rows hazard-order its
     // compute behind the data landing; new client traffic is held back
     // by the migrating flag until after the backlog, so program order
-    // survives the move), drop the old shard's translation state (its
-    // physical rows are not reclaimed — the Ambit allocator has no
-    // free — but its load is), and re-home the session.
+    // survives the move), then drop the old shard's translation state
+    // and return its physical rows to its allocator (the forget), and
+    // re-home the session.
     dst.forward_backlog(session, std::move(det.backlog));
     request forget;
     forget.session = session;

@@ -216,11 +216,20 @@ class pim_service {
     std::vector<std::vector<dram::bulk_vector>> groups;
   };
 
-  request_future route(request& r);
-  /// route() for plan-internal requests whose sessions are pinned: no
-  /// migrating-flag wait (a migration stuck in pin-quiesce would
-  /// otherwise deadlock against the pin-holding plan).
-  request_future route_pinned(request& r);
+  /// What route() does while the request's session is migrating.
+  enum class when_migrating {
+    wait,    // wait the migration out (blocking submits)
+    /// Route to the current home. For plan-internal requests whose
+    /// sessions the plan has pinned: a migration stuck in pin-quiesce
+    /// would deadlock against a waiting, pin-holding plan, and the
+    /// pin keeps the home shard stable.
+    ignore,
+    reject,  // return nullopt (try_submit's backpressure contract)
+  };
+  /// The one routing loop: resolve the session's shard, enqueue (a full
+  /// queue blocks unless `mode` is reject), and retry when the session
+  /// moved in between. Returns nullopt only in reject mode.
+  std::optional<request_future> route(request& r, when_migrating mode);
   /// Pins `sessions` against migration for the life of the returned
   /// guard (released by the plan's final completion, on any path).
   /// Caller holds mu_: the pin must be atomic with resolving the

@@ -41,6 +41,18 @@ void stamp_admission(request& r, picoseconds now) {
   }
 }
 
+/// Runtime tasks the worker releases into the scheduler at once.
+constexpr std::size_t max_inflight = 64;
+/// Runtime tasks one session may hold in flight. A deep serial chain
+/// is hazard-deferred anyway, so letting one tenant fill the whole
+/// inflight window just starves everyone else's bank parallelism (a
+/// convoy that shows up when a migrated session's forwarded backlog
+/// lands on a quiet shard).
+constexpr int session_max_inflight = 8;
+/// DRAM clocks advanced per worker iteration while tasks are in
+/// flight: the admission points of the simulated timeline.
+constexpr int ticks_per_slice = 128;
+
 }  // namespace
 
 shard::shard(int index, const core::pim_system_config& system_config,
@@ -48,9 +60,6 @@ shard::shard(int index, const core::pim_system_config& system_config,
     : index_(index), config_(config), sys_(system_config) {
   config_.session_queue_capacity =
       std::max<std::size_t>(1, config_.session_queue_capacity);
-  config_.max_inflight = std::max(1, config_.max_inflight);
-  config_.session_max_inflight = std::max(1, config_.session_max_inflight);
-  config_.ticks_per_slice = std::max(1, config_.ticks_per_slice);
   stats_.shard = index;
   static_assert(std::size(gauge_names) == gauge_count);
   auto& reg = obs::metrics_registry::instance();
@@ -187,58 +196,37 @@ detached_session shard::detach_session(session_id id) {
   return out;
 }
 
-request_future shard::enqueue_move(request& r) {
-  auto state = r.completion != nullptr ? r.completion
-                                       : std::make_shared<request_state>();
-  r.completion = state;
-  request_future future(state);
+std::optional<request_future> shard::enqueue(request& r, on_full full) {
+  if (r.completion == nullptr) r.completion = std::make_shared<request_state>();
+  const std::shared_ptr<request_state> state = r.completion;
   {
     std::unique_lock<std::mutex> lock(mu_);
     auto it = sessions_.find(r.session);
-    if (it == sessions_.end()) {
-      // Not registered *here*. The service-level directory is the
-      // authority on session existence; at shard level this is a stale
-      // resolution racing a migration (the session may be mid-install
-      // on this very shard) — signal the router to re-resolve.
+    // Not registered *here*. The service-level directory is the
+    // authority on session existence; at shard level this is a stale
+    // resolution racing a migration (the session may be mid-install on
+    // this very shard) — signal the router to re-resolve.
+    if (it == sessions_.end() || it->second.moved) {
       throw session_moved_error();
     }
     session_state& s = it->second;
-    if (s.moved) throw session_moved_error();
-    if (!stop_ && s.queue.size() >= config_.session_queue_capacity) {
-      ++stats_.enqueue_waits;
-      cv_space_.wait(lock, [&] {
-        return stop_ || s.moved ||
-               s.queue.size() < config_.session_queue_capacity;
-      });
+    auto is_full = [&] {
+      return s.queue.size() >= config_.session_queue_capacity;
+    };
+    if (full == on_full::reject && (stop_ || is_full())) {
+      ++stats_.requests_rejected;
+      return std::nullopt;
     }
-    if (s.moved) throw session_moved_error();
+    if (!stop_ && is_full()) {
+      ++stats_.enqueue_waits;
+      cv_space_.wait(lock, [&] { return stop_ || s.moved || !is_full(); });
+      if (s.moved) throw session_moved_error();
+    }
     if (stop_) {
       ++stats_.requests_failed;
       lock.unlock();
       fail(*state, "shard stopped");
-      return future;
-    }
-    admit_locked(s, r);
-  }
-  cv_worker_.notify_one();
-  return future;
-}
-
-std::optional<request_future> shard::try_enqueue_move(request& r) {
-  auto state = r.completion != nullptr ? r.completion
-                                       : std::make_shared<request_state>();
-  r.completion = state;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(r.session);
-    if (it == sessions_.end()) {
-      throw session_moved_error();  // stale resolution: re-resolve
-    }
-    session_state& s = it->second;
-    if (s.moved) throw session_moved_error();
-    if (stop_ || s.queue.size() >= config_.session_queue_capacity) {
-      ++stats_.requests_rejected;
-      return std::nullopt;
+      return request_future(state);
     }
     admit_locked(s, r);
   }
@@ -396,7 +384,7 @@ bool shard::pop_next_locked(request& out) {
     // mix diverse enough to cover the banks.
     auto inflight_it = session_inflight_.find(id);
     if (inflight_it != session_inflight_.end() &&
-        inflight_it->second >= config_.session_max_inflight) {
+        inflight_it->second >= session_max_inflight) {
       continue;
     }
     if (best == nullptr || s.pass < best->pass) best = &s;
@@ -414,7 +402,6 @@ void shard::run() {
   obs::tracer::instance().name_thread(
       "pim-service", "shard " + std::to_string(index_) + " worker");
   const runtime::scheduler& sched = sys_.runtime().sched();
-  const auto max_inflight = static_cast<std::size_t>(config_.max_inflight);
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
     // On-demand publish: a stats() caller is waiting for counters that
@@ -463,7 +450,7 @@ void shard::run() {
       // Queue drained (or admission-capped): advance simulated time so
       // in-flight tasks make progress toward completion.
       lock.unlock();
-      advance(config_.ticks_per_slice);
+      advance(ticks_per_slice);
       lock.lock();
     } else {
       publish_stats_locked();
@@ -552,30 +539,32 @@ const dram::address& shard::wire_for(const dram::address& target) const {
   throw std::logic_error("shard: no wire partner");
 }
 
-void shard::bump_completed(bytes output) {
+void shard::finish(const std::shared_ptr<request_state>& state,
+                   request_result result,
+                   const std::function<void()>& charge) {
+  if (state) complete(*state, std::move(result));
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.requests_completed;
-  stats_.output_bytes += output;
+  if (charge) charge();
 }
 
 void shard::complete_tracked(session_id session,
                              const std::shared_ptr<request_state>& state,
                              request_result result, bytes output,
                              const char* kind,
-                             const runtime::task_report* report) {
+                             const runtime::task_report* report,
+                             const std::function<void()>& charge) {
   const auto elapsed = std::chrono::steady_clock::now() - state->submitted_at;
   const std::int64_t elapsed_ns = std::max<std::int64_t>(
       0,
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   const std::uint64_t flow = state->flow;
   if (flow != 0) obs::emit_flow_end(flow, "request", "service");
-  complete(*state, std::move(result));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.requests_completed;
+  finish(state, std::move(result), [&] {
     stats_.output_bytes += output;
     latency_[session].record(static_cast<std::uint64_t>(elapsed_ns));
-  }
+    if (charge) charge();
+  });
   // Tail-based retention: the decision is made here, at completion,
   // when the latency is known. Below the threshold (or with the log
   // disabled) this is one relaxed load.
@@ -604,45 +593,66 @@ void shard::complete_tracked(session_id session,
   }
 }
 
-void shard::stage_row(session_id stream, const dram::address& phys,
-                      std::shared_ptr<const bitvector> data,
-                      std::size_t row_index,
-                      std::shared_ptr<transfer_group> group) {
+void shard::psm_copy(
+    session_id stream, const dram::address& src, const dram::address& dst,
+    std::function<void(const runtime::task_report&)> on_complete) {
   runtime::pim_task t;
-  t.payload = runtime::row_copy_args{wire_for(phys), phys,
-                                     /*same_subarray=*/false};
+  t.payload = runtime::row_copy_args{src, dst, /*same_subarray=*/false};
   t.forced_backend = runtime::backend_kind::rowclone;
   t.stream = static_cast<int>(stream);
   t.wire_hop = true;  // cross-shard transfer: exec time is `wire` state
   t.admit_ps = sys_.memory().now_ps();
-  t.on_complete = [this, phys, data, row_index,
-                   group](const runtime::task_report&) {
-    // The PSM copy just deposited the wire row's (meaningless) bits;
-    // overwrite with the transfer's real payload before any
-    // hazard-dependent successor is released.
-    sys_.memory().write_row_slice(phys, *data, row_index);
-    if (group && --group->remaining == 0) group->finalize();
-  };
+  t.on_complete = std::move(on_complete);
   sys_.submit(std::move(t));
 }
 
-void shard::export_row(session_id stream, const dram::address& phys,
-                       std::shared_ptr<std::vector<bitvector>> rows,
-                       std::size_t row_index,
-                       std::shared_ptr<transfer_group> group) {
-  runtime::pim_task t;
-  t.payload = runtime::row_copy_args{phys, wire_for(phys),
-                                     /*same_subarray=*/false};
-  t.forced_backend = runtime::backend_kind::rowclone;
-  t.stream = static_cast<int>(stream);
-  t.wire_hop = true;  // cross-shard transfer: exec time is `wire` state
-  t.admit_ps = sys_.memory().now_ps();
-  t.on_complete = [this, phys, rows, row_index,
-                   group](const runtime::task_report&) {
-    (*rows)[row_index] = sys_.memory().row_or_zero(phys);
-    if (--group->remaining == 0) group->finalize();
-  };
-  sys_.submit(std::move(t));
+void shard::land(session_id stream, const std::vector<landing>& targets,
+                 std::function<void()> done) {
+  std::size_t rows = 0;
+  for (const auto& [phys, data] : targets) rows += phys.rows.size();
+  if (rows == 0) {
+    if (done) done();
+    return;
+  }
+  // Completions all run on this worker thread: a plain countdown.
+  auto remaining = std::make_shared<std::size_t>(rows);
+  auto last = std::make_shared<std::function<void()>>(std::move(done));
+  for (const auto& [phys, data] : targets) {
+    for (std::size_t i = 0; i < phys.rows.size(); ++i) {
+      const dram::address& row = phys.rows[i];
+      psm_copy(stream, wire_for(row), row,
+               [this, row, data = data, i, remaining,
+                last](const runtime::task_report&) {
+                 // The PSM copy just deposited the wire row's
+                 // (meaningless) bits; overwrite with the transfer's
+                 // real payload.
+                 sys_.memory().write_row_slice(row, *data, i);
+                 if (--*remaining == 0 && *last) (*last)();
+               });
+    }
+  }
+}
+
+void shard::export_vector(session_id stream, const dram::bulk_vector& phys,
+                          std::function<void(bitvector)> done) {
+  auto out = std::make_shared<bitvector>(phys.size);
+  auto remaining = std::make_shared<std::size_t>(phys.rows.size());
+  auto last =
+      std::make_shared<std::function<void(bitvector)>>(std::move(done));
+  const bits row_bits = sys_.org().row_bits();
+  for (std::size_t i = 0; i < phys.rows.size(); ++i) {
+    const dram::address& row = phys.rows[i];
+    psm_copy(stream, row, wire_for(row),
+             [this, row, base = i * row_bits, row_bits, out, remaining,
+              last](const runtime::task_report&) {
+               if (base < out->size()) {
+                 out->copy_bits(base, sys_.memory().row_or_zero(row), 0,
+                                std::min<std::size_t>(row_bits,
+                                                      out->size() - base));
+               }
+               if (--*remaining == 0) (*last)(std::move(*out));
+             });
+  }
 }
 
 std::vector<dram::bulk_vector> shard::acquire_scratch(bits size, int count) {
@@ -803,15 +813,13 @@ shard::exec_result shard::execute(request& req) {
           sys_.free_rows(rows);
           remap_.erase(it);
         }
-        complete(*req.completion, request_result{});
-        bump_completed(0);
+        finish(req.completion, {});
         break;
       }
       case 8: {
         const auto& args = std::get<reserve_args>(req.payload);
         place_reservation(req.session, args.token, args.v);
-        complete(*req.completion, request_result{});
-        bump_completed(0);
+        finish(req.completion, {});
         unpark_sessions();  // token-waiters for this marker can proceed
         break;
       }
@@ -821,8 +829,7 @@ shard::exec_result shard::execute(request& req) {
           return exec_result::park_token;
         }
         clear_reservation(args.token);
-        complete(*req.completion, request_result{});
-        bump_completed(0);
+        finish(req.completion, {});
         unpark_sessions();
         break;
       }
@@ -882,40 +889,20 @@ void shard::exec_read(request& req, const read_args& args) {
     complete_tracked(req.session, req.completion, std::move(res), 0, "read");
     return;
   }
-  // RowClone-priced export: one PSM copy per row onto the wire rows;
-  // each row's bits are captured at its copy's completion instant, so
-  // the row-hazard graph — not a drain — orders the export against
-  // in-flight compute.
-  auto rows = std::make_shared<std::vector<bitvector>>(phys.rows.size());
-  auto group = std::make_shared<transfer_group>();
-  group->remaining = static_cast<int>(phys.rows.size());
-  const bits size = phys.size;
-  const bits row_bits = sys_.org().row_bits();
-  auto completion = req.completion;
-  group->finalize = [this, rows, completion, size, row_bits] {
-    bitvector out(size);
-    for (std::size_t r = 0; r < rows->size(); ++r) {
-      const bitvector& row = (*rows)[r];
-      const std::size_t base = r * row_bits;
-      if (base >= size) break;
-      if (row.empty()) continue;  // never-materialized row reads as zero
-      out.copy_bits(base, row, 0,
-                    std::min<std::size_t>(row_bits, size - base));
-    }
-    request_result res;
-    res.data = std::move(out);
-    // Priced exports are service-internal (plan fetches, migration
-    // captures) — never a client call, so no latency sample.
-    complete(*completion, std::move(res));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.requests_completed;
-      stats_.exported_bytes += size / 8;
-    }
-  };
-  for (std::size_t i = 0; i < phys.rows.size(); ++i) {
-    export_row(req.session, phys.rows[i], rows, i, group);
-  }
+  // RowClone-priced export: each row's bits are captured at its copy's
+  // completion instant, so the row-hazard graph — not a drain — orders
+  // the export against in-flight compute.
+  export_vector(req.session, phys,
+                [this, completion = req.completion,
+                 size = phys.size](bitvector data) {
+                  request_result res;
+                  res.data = std::move(data);
+                  // Priced exports are service-internal (plan fetches,
+                  // migration captures) — never a client call, so no
+                  // latency sample.
+                  finish(completion, std::move(res),
+                         [&] { stats_.exported_bytes += size / 8; });
+                });
 }
 
 shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
@@ -1019,14 +1006,9 @@ shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
   // paper's point — RowClone makes moving operands to the compute
   // site cheap, so the op can always run in-DRAM.
   std::vector<dram::bulk_vector> scratch = acquire_scratch(size, count);
-  for (std::size_t i = 0; i < scratch[0].rows.size(); ++i) {
-    stage_row(req.session, scratch[0].rows[i], da, i, nullptr);
-  }
-  if (db) {
-    for (std::size_t i = 0; i < scratch[1].rows.size(); ++i) {
-      stage_row(req.session, scratch[1].rows[i], db, i, nullptr);
-    }
-  }
+  std::vector<landing> inputs{{scratch[0], da}};
+  if (db) inputs.emplace_back(scratch[1], db);
+  land(req.session, inputs, nullptr);
 
   // The compute task RAW-depends on every staging copy (they write the
   // scratch rows it reads), so submitting it immediately still runs it
@@ -1045,7 +1027,7 @@ shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
                        const runtime::task_report& report) mutable {
     bitvector out = sys_.read(scratch_d);
     release_scratch(size, std::move(scratch));
-    bump_completed(0);  // this shard's part of the plan is done
+    finish(nullptr, {});  // this shard's part of the plan is done
     // Phase three: land the result in the destination owner's vector
     // (possibly on another shard) with RowClone pricing. The write-back
     // request carries the client's original completion state, so the
@@ -1082,83 +1064,68 @@ shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
 
 void shard::exec_stage_in(request& req, stage_in_args& args) {
   const dram::bulk_vector phys = translate(args.owner, args.v);
-  auto completion = req.completion;
-  const session_id session = req.session;
-  auto data = std::make_shared<const bitvector>(std::move(args.data));
-  auto group = std::make_shared<transfer_group>();
-  group->remaining = static_cast<int>(phys.rows.size());
   const bits size = phys.size;
-  group->finalize = [this, completion, session, report = args.report, size,
-                     guard = std::move(args.guard)] {
-    request_result res;
-    res.report = report;
-    complete_tracked(session, completion, std::move(res), 0, "stage_in");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.staged_bytes += size / 8;
-    }
-  };
-  for (std::size_t i = 0; i < phys.rows.size(); ++i) {
-    stage_row(args.owner, phys.rows[i], data, i, group);
-  }
+  land(args.owner,
+       {{phys, std::make_shared<const bitvector>(std::move(args.data))}},
+       [this, completion = req.completion, session = req.session,
+        report = args.report, size, guard = std::move(args.guard)] {
+         request_result res;
+         res.report = report;
+         complete_tracked(session, completion, std::move(res), 0,
+                          "stage_in", nullptr,
+                          [&] { stats_.staged_bytes += size / 8; });
+       });
 }
 
 void shard::exec_install(request& req, install_args& args) {
   // Re-allocate the session's groups at group granularity (preserving
   // Ambit co-location), map the virtual handles onto the new physical
   // rows, and stage the captured contents in with RowClone pricing.
+  // Nothing is mapped until every group has its rows: a failed install
+  // hands back what it took and leaves no translation behind, so the
+  // session rolls back to its source with this shard as it was.
+  std::size_t vectors = 0;
+  for (const auto& group : args.groups) vectors += group.size();
+  if (vectors > args.data.size()) {
+    throw std::logic_error("install: data/groups mismatch");
+  }
+  std::vector<std::vector<dram::bulk_vector>> placed;
+  try {
+    for (const auto& group : args.groups) {
+      if (group.empty()) continue;
+      placed.push_back(
+          sys_.allocate(group[0].size, static_cast<int>(group.size())));
+    }
+  } catch (...) {
+    for (const auto& phys : placed) sys_.free_group(phys);
+    throw;
+  }
   auto& map = remap_[args.session];
-  std::size_t flat = 0;
+  std::vector<landing> targets;
+  targets.reserve(vectors);
   bytes total = 0;
-  struct staged_vec {
-    dram::bulk_vector phys;
-    std::shared_ptr<const bitvector> data;
-  };
-  std::vector<staged_vec> staged;
+  std::size_t flat = 0;
+  auto phys = placed.begin();
   for (const auto& group : args.groups) {
     if (group.empty()) continue;
-    const std::vector<dram::bulk_vector> phys =
-        sys_.allocate(group[0].size, static_cast<int>(group.size()));
-    for (std::size_t k = 0; k < group.size(); ++k) {
+    for (std::size_t k = 0; k < group.size(); ++k, ++flat) {
       for (std::size_t i = 0; i < group[k].rows.size(); ++i) {
-        map[group[k].rows[i].row] = phys[k].rows[i];
+        map[group[k].rows[i].row] = (*phys)[k].rows[i];
       }
-      if (flat >= args.data.size()) {
-        throw std::logic_error("install: data/groups mismatch");
-      }
-      staged.push_back({phys[k], std::make_shared<const bitvector>(
-                                     std::move(args.data[flat]))});
+      targets.emplace_back((*phys)[k], std::make_shared<const bitvector>(
+                                           std::move(args.data[flat])));
       total += group[k].size / 8;
-      ++flat;
     }
+    ++phys;
   }
-  auto completion = req.completion;
-  auto group_state = std::make_shared<transfer_group>();
-  int rows_total = 0;
-  for (const staged_vec& sv : staged) {
-    rows_total += static_cast<int>(sv.phys.rows.size());
-  }
-  group_state->remaining = rows_total;
   // Migration machinery, not a client request: completes untracked so
   // the session's percentiles reflect only client-observed latency.
-  group_state->finalize = [this, completion, total] {
-    complete(*completion, request_result{});
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.requests_completed;
+  land(args.session, targets, [this, completion = req.completion, total] {
+    finish(completion, {}, [&] {
       ++stats_.migrations_in;
       stats_.staged_bytes += total;
-    }
-  };
-  if (rows_total == 0) {
-    group_state->finalize();
-    return;
-  }
-  for (const staged_vec& sv : staged) {
-    for (std::size_t i = 0; i < sv.phys.rows.size(); ++i) {
-      stage_row(args.session, sv.phys.rows[i], sv.data, i, group_state);
-    }
-  }
+    });
+  });
 }
 
 void shard::drain() { sys_.wait_all(); }

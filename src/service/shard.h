@@ -30,7 +30,10 @@
 // write-backs, migration capture and install) is priced as RowClone
 // PSM row copies against per-channel wire rows, so a shard needs two
 // (rank, bank) pairs on every channel; the constructor throws
-// std::invalid_argument for a smaller organization.
+// std::invalid_argument for a smaller organization. All of them go
+// through one path: psm_copy builds every transfer task, land() lands
+// (vector, bits) pairs through it, and export_vector() reads a vector
+// out through it.
 //
 // Thread-safety contract: the worker thread is the only code that
 // touches sys_ (and the worker-only members below) after start();
@@ -57,14 +60,12 @@ namespace pim::service {
 
 struct shard_config {
   std::size_t session_queue_capacity = 64;  // per-session admission bound
-  int max_inflight = 64;  // runtime tasks released at once
-  /// Runtime tasks one session may hold in flight. A deep serial chain
-  /// is hazard-deferred anyway, so letting one tenant fill the whole
-  /// inflight window just starves everyone else's bank parallelism (a
-  /// convoy that shows up when a migrated session's forwarded backlog
-  /// lands on a quiet shard).
-  int session_max_inflight = 8;
-  int ticks_per_slice = 128;  // DRAM clocks advanced per worker iteration
+};
+
+/// What admission does when the session's queue is full.
+enum class on_full {
+  wait,    // block until the worker frees space
+  reject,  // return nullopt (also when the shard is stopped)
 };
 
 /// Telemetry one shard publishes; aggregated service-wide by
@@ -75,7 +76,7 @@ struct shard_stats {
   std::uint64_t requests_enqueued = 0;
   std::uint64_t requests_completed = 0;
   std::uint64_t requests_failed = 0;
-  std::uint64_t requests_rejected = 0;  // try_enqueue refused (queue full)
+  std::uint64_t requests_rejected = 0;  // on_full::reject admission refused
   std::uint64_t enqueue_waits = 0;      // blocking submits that had to wait
   std::size_t peak_queue_depth = 0;     // max requests queued at once
   std::uint64_t tasks_submitted = 0;    // runtime tasks entered the scheduler
@@ -135,24 +136,16 @@ class shard {
   /// coordinator with client admission gated off service-wide.
   detached_session detach_session(session_id id);
 
-  /// Blocking admission: waits while the session's queue is full.
-  /// Throws session_moved_error if the session migrated away.
-  request_future enqueue(request r) { return enqueue_move(r); }
-
-  /// Non-blocking admission: nullopt when the session's queue is full
-  /// (or the shard is stopped) — the backpressure signal. Throws
-  /// session_moved_error if the session migrated away.
-  std::optional<request_future> try_enqueue(request r) {
-    return try_enqueue_move(r);
-  }
-
-  /// By-reference variants the service's retry-on-moved routing uses:
-  /// the request is consumed only on successful admission, so a
-  /// session_moved_error leaves it intact for the retry. An
-  /// already-attached completion state is kept (migration backlog
-  /// forwarding preserves client futures).
-  request_future enqueue_move(request& r);
-  std::optional<request_future> try_enqueue_move(request& r);
+  /// Session admission. A full queue blocks (on_full::wait) or
+  /// returns nullopt, the backpressure signal (on_full::reject, which
+  /// also refuses when the shard is stopped; a waiting enqueue on a
+  /// stopped shard returns a failed future instead). Throws
+  /// session_moved_error if the session migrated away. The request is
+  /// consumed only on admission, so a session_moved_error leaves it
+  /// intact for the service's retry. An already-attached completion
+  /// state is kept (migration backlog forwarding preserves client
+  /// futures).
+  std::optional<request_future> enqueue(request& r, on_full full);
 
   /// Unbounded service-internal admission, popped ahead of every
   /// session queue and exempt from per-session registration — the
@@ -193,14 +186,6 @@ class shard {
     std::optional<request> parked;
   };
 
-  /// Completion fan-in for a group of RowClone-priced transfer tasks:
-  /// the finalizer runs (on the worker thread, inside the scheduler's
-  /// completion path) when the last task of the group completes.
-  struct transfer_group {
-    int remaining = 0;
-    std::function<void()> finalize;
-  };
-
   /// Why execute() could not run a request right now.
   enum class exec_result {
     done,         // executed (or failed) — finished with the request
@@ -236,30 +221,46 @@ class shard {
   /// A wire row on `target`'s channel usable as the PSM partner
   /// (different bank/rank).
   const dram::address& wire_for(const dram::address& target) const;
-  /// Submits one PSM-priced landing copy: wire -> row, with `data`'s
-  /// row_index-th slice applied at the copy's completion instant.
-  void stage_row(session_id stream, const dram::address& phys,
-                 std::shared_ptr<const bitvector> data, std::size_t row_index,
-                 std::shared_ptr<transfer_group> group);
-  /// Submits one PSM-priced export copy: row -> wire, with the row's
-  /// bits captured into `rows` at the copy's completion instant.
-  void export_row(session_id stream, const dram::address& phys,
-                  std::shared_ptr<std::vector<bitvector>> rows,
-                  std::size_t row_index,
-                  std::shared_ptr<transfer_group> group);
+  /// The one builder of a cross-shard transfer: a RowClone PSM copy
+  /// src -> dst whose execution time counts as `wire` state.
+  /// `on_complete` runs at the copy's simulated completion instant,
+  /// before any hazard-dependent successor is released.
+  void psm_copy(session_id stream, const dram::address& src,
+                const dram::address& dst,
+                std::function<void(const runtime::task_report&)> on_complete);
+  /// Lands each (physical vector, bits) pair: one PSM copy wire -> row
+  /// per row, in vector then row order, each applying its slice of the
+  /// bits at its copy's completion. `done` (may be empty) runs after
+  /// the last copy, or at once when there are no rows.
+  using landing =
+      std::pair<dram::bulk_vector, std::shared_ptr<const bitvector>>;
+  void land(session_id stream, const std::vector<landing>& targets,
+            std::function<void()> done);
+  /// Exports `phys`: one PSM copy row -> wire per row, each row's bits
+  /// copied into the result at its copy's completion instant; `done`
+  /// gets the whole vector after the last copy.
+  void export_vector(session_id stream, const dram::bulk_vector& phys,
+                     std::function<void(bitvector)> done);
   std::vector<dram::bulk_vector> acquire_scratch(bits size, int count);
   void release_scratch(bits size, std::vector<dram::bulk_vector> group);
-  void bump_completed(bytes output);
-  /// Completes a client-visible request and charges its
-  /// submit→complete latency to the session's histogram in one stats
-  /// update. `kind` labels the request in the slow-request log;
-  /// `report` (when the request ran a sim task) contributes the
-  /// backend and simulated timestamps to the log entry.
+  /// The one completion path: resolves `state` (null for a plan's
+  /// compute leg, whose client future resolves at the write-back) and
+  /// counts the request in requests_completed. `charge` runs in the
+  /// same stats update (under mu_) to count what else it moved.
+  void finish(const std::shared_ptr<request_state>& state,
+              request_result result,
+              const std::function<void()>& charge = {});
+  /// finish() for a client-visible request: also charges its
+  /// submit→complete latency to the session's histogram. `kind` labels
+  /// the request in the slow-request log; `report` (when the request
+  /// ran a sim task) contributes the backend and simulated timestamps
+  /// to the log entry.
   void complete_tracked(session_id session,
                         const std::shared_ptr<request_state>& state,
                         request_result result, bytes output,
                         const char* kind = "request",
-                        const runtime::task_report* report = nullptr);
+                        const runtime::task_report* report = nullptr,
+                        const std::function<void()>& charge = {});
 
   void exec_allocate(request& req, const allocate_args& args);
   void exec_write(request& req, const write_args& args);
@@ -329,8 +330,11 @@ class shard {
   std::unordered_map<session_id, std::unordered_map<int, dram::address>>
       remap_;
   /// Reusable co-located scratch groups for cross-shard staging,
-  /// keyed by vector size (the allocator cannot free, so plans
-  /// recycle instead of leaking capacity).
+  /// keyed by vector size and count. Plans recycle the same rows
+  /// rather than freeing and re-allocating them: a fresh allocation
+  /// would land elsewhere as the allocator's cursor moves on, and the
+  /// cross-shard simulated numbers (ticks, bank overlap) depend on
+  /// which rows the staging copies hit.
   std::map<std::pair<bits, int>, std::vector<std::vector<dram::bulk_vector>>>
       scratch_pool_;
   /// Per-channel landing rows in >= 2 distinct banks: the PSM partners

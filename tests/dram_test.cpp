@@ -907,6 +907,48 @@ TEST(AmbitAllocatorTest, ExhaustionThrows) {
       std::runtime_error);
 }
 
+TEST(AmbitAllocatorTest, FailedAllocationLeavesTheAllocatorUnchanged) {
+  // A group that does not fit must hand back the slots it took for its
+  // earlier row indices and leave the stripe cursor where it was: after
+  // failed calls the allocator hands out exactly what a twin that never
+  // saw them does.
+  organization org = small_org();
+  org.channels = 1;
+  org.ranks = 1;  // 4 banks x 4 subarrays = 16 stripe units
+  ambit_allocator alloc(org);
+  ambit_allocator twin(org);
+  const std::size_t capacity = alloc.free_slots();
+  // A one-row-per-unit stripe of capacity - 3 rows fills units 0-12
+  // and leaves one fresh slot in each of units 13-15 (where the cursor
+  // stops). Freeing stripe rows r returns a slot to unit r % 16:
+  // units 4 and 9 get two recycled slots, units 1, 6 and 11 one.
+  const bits row = org.row_bits();
+  for (ambit_allocator* a : {&alloc, &twin}) {
+    const auto filler = a->allocate_group(row * (capacity - 3), 1);
+    std::vector<address> freed;
+    for (std::size_t r : {1, 4, 20, 6, 9, 25, 11}) {
+      freed.push_back(filler[0].rows[r]);
+    }
+    a->free_rows(freed);
+  }
+  ASSERT_EQ(alloc.free_slots(), 10u);
+
+  // Takes units 4 and 9's pairs, then finds no third unit with two
+  // free slots; the cursor has moved past unit 11 by then.
+  EXPECT_THROW(alloc.allocate_group(row * 3, 2), std::runtime_error);
+  // Takes all 10 free slots, fresh and recycled, then runs out.
+  EXPECT_THROW(alloc.allocate_group(row * 11, 1), std::runtime_error);
+  EXPECT_EQ(alloc.free_slots(), 10u);
+  // Same rows, same order, as the twin: free lists, fresh tails and
+  // cursor all came back.
+  for (int i = 0; i < 10; ++i) {
+    const auto got = alloc.allocate_group(row, 1);
+    const auto want = twin.allocate_group(row, 1);
+    EXPECT_EQ(got[0].rows, want[0].rows) << "allocation " << i;
+  }
+  EXPECT_EQ(alloc.free_slots(), 0u);
+}
+
 TEST(AmbitAllocatorTest, FreedGroupsAreRecycled) {
   organization org = small_org();
   org.channels = 1;

@@ -814,6 +814,60 @@ TEST(ServiceMigrationTest, RepeatedMigrationDoesNotExhaustCapacity) {
   EXPECT_EQ(svc.stats().requests_failed, 0u);
 }
 
+TEST(ServiceMigrationTest, FailedInstallLeavesTheDestinationAsItWas) {
+  // A migration whose install does not fit on the destination throws
+  // and rolls the session back to its source. The destination keeps
+  // nothing of it: neither the rows the install took for the groups
+  // that did fit, nor its translation, nor the session registration.
+  const bits row = small_system().org.row_bits();
+  // Shard 1's free rows at start, counted on a twin service.
+  int free_rows = 0;
+  {
+    pim_service twin(two_shard_range());
+    twin.start();
+    service_client a(twin);
+    service_client b(twin);
+    ASSERT_EQ(b.shard_index(), 1);
+    try {
+      for (;; ++free_rows) b.allocate(row, 1);
+    } catch (const std::exception&) {
+    }
+  }
+  ASSERT_GT(free_rows, 5);
+
+  pim_service svc(two_shard_range());
+  svc.start();
+  service_client a(svc);
+  service_client b(svc);
+  ASSERT_EQ(a.shard_index(), 0);
+  ASSERT_EQ(b.shard_index(), 1);
+  b.allocate(row * static_cast<bits>(free_rows - 5), 1);  // 5 rows left
+  rng gen(101);
+  const auto small = a.allocate(row, 1);
+  const auto big = a.allocate(row * 10, 1);  // cannot fit in 5 rows
+  const bitvector small_bits = bitvector::random(row, gen);
+  const bitvector big_bits = bitvector::random(row * 10, gen);
+  a.write(small[0], small_bits);
+  a.write(big[0], big_bits);
+  const int sessions_before = svc.shard_at(1).stats().sessions;
+
+  EXPECT_THROW(svc.migrate_session(a.id(), 1), std::runtime_error);
+
+  EXPECT_EQ(svc.owner_shard(a.id()), 0);
+  EXPECT_EQ(svc.shard_at(1).stats().sessions, sessions_before);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_NO_THROW(b.allocate(row, 1)) << "row " << i;
+  }
+  EXPECT_THROW(b.allocate(row, 1), std::runtime_error);
+  // The session carries on at its source, data intact.
+  EXPECT_EQ(a.read(small[0]), small_bits);
+  EXPECT_EQ(a.read(big[0]), big_bits);
+  a.submit_bulk(dram::bulk_op::not_op, small[0], nullptr, small[0]);
+  a.wait_all();
+  EXPECT_EQ(a.read(small[0]), ~small_bits);
+  svc.stop();
+}
+
 TEST(ServiceMigrationTest, ForwardedBacklogIsCountedOnce) {
   // A migrated session's unexecuted backlog is forwarded to its new
   // shard. The source shard counted those requests when it admitted

@@ -11,7 +11,8 @@
 //                                            # to the file once bound
 //                                            # (how the CI smoke test
 //                                            # rendezvouses)
-// Keys: host, port, port_file, shards, routing (hash|range),
+// Keys: host, port (0-65535), port_file, shards (>= 1),
+//       routing (hash|range),
 //       sessions_per_shard, queue (per-session admission bound),
 //       trace (path: enable tracing at startup, write Chrome trace
 //       JSON there on shutdown; clients can also toggle the tracer
@@ -20,6 +21,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <thread>
 
 #include "common/config.h"
@@ -38,25 +40,38 @@ int main(int argc, char** argv) {
   using namespace pim;
 
   config cfg;
+  net::server_config server_cfg;
   try {
     cfg = config::from_args({argv + 1, argv + argc});
+    server_cfg.host = cfg.get_string("host", "127.0.0.1");
+    const std::int64_t port = cfg.get_int("port", 7321);
+    if (port < 0 || port > 65535) {
+      throw std::invalid_argument("port must be in [0, 65535], got " +
+                                  std::to_string(port));
+    }
+    server_cfg.port = static_cast<std::uint16_t>(port);
+    const std::int64_t shards = cfg.get_int("shards", 4);
+    if (shards < 1 || shards > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("shards must be a positive int, got " +
+                                  std::to_string(shards));
+    }
+    server_cfg.service.shards = static_cast<int>(shards);
+    const std::string routing = cfg.get_string("routing", "hash");
+    if (routing != "hash" && routing != "range") {
+      throw std::invalid_argument("routing must be hash or range, got '" +
+                                  routing + "'");
+    }
+    server_cfg.service.routing = routing == "range"
+                                     ? service::shard_routing::range
+                                     : service::shard_routing::hash;
+    server_cfg.service.sessions_per_shard =
+        static_cast<std::uint64_t>(cfg.get_int("sessions_per_shard", 64));
+    server_cfg.service.shard.session_queue_capacity =
+        static_cast<std::size_t>(cfg.get_int("queue", 64));
   } catch (const std::exception& e) {
     std::cerr << "pim_serverd: " << e.what() << "\n";
     return 2;
   }
-
-  net::server_config server_cfg;
-  server_cfg.host = cfg.get_string("host", "127.0.0.1");
-  server_cfg.port = static_cast<std::uint16_t>(cfg.get_int("port", 7321));
-  server_cfg.service.shards = static_cast<int>(cfg.get_int("shards", 4));
-  server_cfg.service.routing =
-      cfg.get_string("routing", "hash") == "range"
-          ? service::shard_routing::range
-          : service::shard_routing::hash;
-  server_cfg.service.sessions_per_shard =
-      static_cast<std::uint64_t>(cfg.get_int("sessions_per_shard", 64));
-  server_cfg.service.shard.session_queue_capacity =
-      static_cast<std::size_t>(cfg.get_int("queue", 64));
 
   const std::string trace_path = cfg.get_string("trace", "");
   if (!trace_path.empty()) obs::tracer::instance().enable();
